@@ -18,7 +18,6 @@ from .linalg import (
     SingularDiagonal,
     cholesky_spd,
     invert_lower_triangular,
-    least_squares_solve,
     ql_decompose,
 )
 from .lattice import (
@@ -26,6 +25,7 @@ from .lattice import (
     CvpSolution,
     DimensionTooLarge,
     GammaBound,
+    IntegerOverflow,
     LatticeBasis,
     absolute_error_bound,
     babai_from_target,
@@ -50,7 +50,6 @@ from .quantize import (
     scaled_quantize,
 )
 from .reduction import (
-    IntegerOverflow,
     ReducedBasis,
     is_lll_reduced,
     lll_reduce,
@@ -101,7 +100,6 @@ __all__ = [
     "gptq_quantize_recursive",
     "invert_lower_triangular",
     "is_lll_reduced",
-    "least_squares_solve",
     "lll_reduce",
     "load_matrix_csv",
     "map_solution",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
+import math
 import sys
 import time
 
@@ -24,13 +24,7 @@ from .lattice import (
 )
 from .linalg import NotPositiveDefinite, RankDeficient, ql_decompose
 from .matio import ParseError, RaggedRows, load_matrix_csv, save_matrix_csv
-from .quantize import (
-    QuantConfig,
-    quantize_matrix,
-    regularize,
-    resolve_mu,
-    scaled_quantize,
-)
+from .quantize import QuantConfig, quantize_matrix, scaled_quantize, solver_basis
 from .reduction import DEFAULT_DELTA, lll_reduce, map_solution
 from .report import Report
 
@@ -72,9 +66,9 @@ def _config(args) -> QuantConfig:
     )
 
 
-def _solver_matrix(x: np.ndarray, cfg: QuantConfig) -> tuple[np.ndarray, float]:
-    mu = resolve_mu(x, cfg.mu)
-    return (regularize(x, mu) if mu > 0 else x), mu
+def _reduce_delta(args) -> float | None:
+    """The LLL parameter when --reduce lll is given, else None."""
+    return args.delta if args.reduce == "lll" else None
 
 
 def _write_report(args, report: Report) -> None:
@@ -90,63 +84,35 @@ def _cmd_quantize(args) -> int:
     m, n = weights.shape
     k = x.shape[0]
 
+    reduce_delta = _reduce_delta(args)
     start = time.perf_counter()
-    if args.reduce == "lll":
-        x_solver, mu = _solver_matrix(x, cfg)
-        reduced = lll_reduce(x_solver, args.delta)
-        lat = LatticeBasis(reduced.basis_red)
-        v_mat = np.empty((m, n), dtype=np.int64)
-        coeffs = np.empty((m, n))
-        fragile_count = 0
-        err2 = err2_reg = 0.0
-        for i in range(m):
-            w_scaled = weights[i] / cfg.alpha
-            sol = babai_from_target(lat, x_solver @ w_scaled, tie_tol=cfg.tie_tol)
-            v = map_solution(reduced.u, sol.v)
-            if cfg.clamp is not None:
-                v = np.clip(v, cfg.clamp[0], cfg.clamp[1])
-            v_mat[i] = v
-            coeffs[i] = sol.step_coeffs
-            fragile_count += len(sol.fragile)
-            err2 += float(np.sum((x @ (w_scaled - v)) ** 2)) * cfg.alpha ** 2
-            err2_reg += float(np.sum((x_solver @ (w_scaled - v)) ** 2)) * cfg.alpha ** 2
-        error_l2, error_reg = float(np.sqrt(err2)), float(np.sqrt(err2_reg))
-        diag = lat.factors.diag
-        algorithm = args.algo + "+lll"
-        step_coeffs = coeffs.ravel().tolist()
-        resolved_mu = mu
-    else:
-        v_mat, rep = quantize_matrix(weights, x, cfg, threads=args.threads)
-        error_l2, error_reg = rep.total_error_l2, rep.total_error_regularized
-        diag = rep.l_diag
-        fragile_count = len(rep.fragile)
-        algorithm = args.algo
-        step_coeffs = rep.step_coeffs.ravel().tolist()
-        resolved_mu = rep.mu
+    v_mat, rep = quantize_matrix(weights, x, cfg, reduce_delta)
     wall_ms = (time.perf_counter() - start) * 1e3
+    algorithm = args.algo + ("" if reduce_delta is None else "+lll")
 
     save_matrix_csv(args.out, v_mat)
-    abs_bound = absolute_error_bound(diag)
-    gamma = relative_error_factor(diag)
+    abs_bound = absolute_error_bound(rep.l_diag)
+    gamma = relative_error_factor(rep.l_diag)
     # per-row guarantee, scaled to the alphabet and summed over m rows
-    bound_scale = cfg.alpha * np.sqrt(m)
+    bound_scale = cfg.alpha * math.sqrt(m)
     report = Report(
         algorithm=algorithm,
         n=n, k=k, m=m,
-        mu=resolved_mu, alpha=cfg.alpha, delta=args.delta,
-        error_l2=error_l2, error_regularized=error_reg,
+        mu=rep.mu, alpha=cfg.alpha, delta=args.delta,
+        error_l2=rep.total_error_l2, error_regularized=rep.total_error_regularized,
         bound_abs_paper=bound_scale * abs_bound.paper,
         bound_abs_halfstep=bound_scale * abs_bound.half_step,
         gamma_bound=gamma.gamma,
-        step_coeffs=step_coeffs,
-        fragile_count=fragile_count,
+        step_coeffs=rep.step_coeffs.ravel().tolist(),
+        fragile_count=len(rep.fragile),
         wall_time_ms=wall_ms,
         v=v_mat[0].tolist() if m == 1 else None,
         V=v_mat.tolist() if m > 1 else None,
     )
     _write_report(args, report)
-    print(f"quantized {m}x{n} with {algorithm}: error_l2={error_l2!r} "
-          f"(bound {abs_bound.paper!r}), fragile={fragile_count} -> {args.out}")
+    print(f"quantized {m}x{n} with {algorithm}: error_l2={report.error_l2!r} "
+          f"(bound {report.bound_abs_paper!r}), fragile={report.fragile_count} "
+          f"-> {args.out}")
     return 0
 
 
@@ -199,14 +165,13 @@ def _cmd_compare(args) -> int:
 
     x, w, results = last
     ref = results["gptq"]
-    x_solver, mu = _solver_matrix(x, cfg)
-    factors = ql_decompose(x_solver)
-    abs_bound = absolute_error_bound(factors)
-    gamma = relative_error_factor(factors)
+    sb = solver_basis(x, cfg.mu)
+    abs_bound = absolute_error_bound(sb.factors)
+    gamma = relative_error_factor(sb.factors)
     report = Report(
         algorithm="compare",
         n=x.shape[1], k=x.shape[0], m=1,
-        mu=mu, alpha=cfg.alpha, delta=args.delta,
+        mu=sb.mu, alpha=cfg.alpha, delta=args.delta,
         error_l2=ref.error_l2, error_regularized=ref.error_regularized,
         bound_abs_paper=cfg.alpha * abs_bound.paper,
         bound_abs_halfstep=cfg.alpha * abs_bound.half_step,
@@ -237,14 +202,13 @@ def _print_bounds(label: str, diag: np.ndarray) -> None:
 def _cmd_bounds(args) -> int:
     x = load_matrix_csv(args.calib)
     cfg = _config(args)
-    x_solver, mu = _solver_matrix(x, cfg)
-    factors = ql_decompose(x_solver)
-    print(f"n={x.shape[1]} k={x.shape[0]} mu={mu!r}")
-    _print_bounds("input basis", factors.diag)
-    if args.reduce == "lll":
-        reduced = lll_reduce(x_solver, args.delta)
-        _print_bounds(f"after lll(delta={args.delta})",
-                      ql_decompose(reduced.basis_red).diag)
+    sb = solver_basis(x, cfg.mu)
+    print(f"n={x.shape[1]} k={x.shape[0]} mu={sb.mu!r}")
+    _print_bounds("input basis", sb.factors.diag)
+    reduce_delta = _reduce_delta(args)
+    if reduce_delta is not None:
+        _print_bounds(f"after lll(delta={reduce_delta})",
+                      solver_basis(x, cfg.mu, reduce_delta).factors.diag)
     return 0
 
 
@@ -261,17 +225,10 @@ def _cmd_oracle(args) -> int:
     if t.size != x.shape[0]:
         raise ValueError(f"target has length {t.size}, calibration has {x.shape[0]} rows")
 
-    x_solver, mu = _solver_matrix(x, cfg)
-    t_emb = np.concatenate([t, np.zeros(x.shape[1])]) if mu > 0 else t
-
     start = time.perf_counter()
-    reduced = None
-    if args.reduce == "lll":
-        reduced = lll_reduce(x_solver, args.delta)
-        lat = LatticeBasis(reduced.basis_red)
-    else:
-        lat = LatticeBasis(x_solver)
-
+    sb = solver_basis(x, cfg.mu, _reduce_delta(args))
+    t_emb = np.concatenate([t, np.zeros(sb.x_solver.shape[0] - t.size)])
+    lat = LatticeBasis(sb.basis)
     exact = solve_cvp_exact(lat, t_emb, radius=args.radius)
     babai = babai_from_target(lat, t_emb, tie_tol=cfg.tie_tol)
     wall_ms = (time.perf_counter() - start) * 1e3
@@ -288,7 +245,7 @@ def _cmd_oracle(args) -> int:
     else:
         ratio = 1.0 if babai.error_l2 == 0 else float("inf")
 
-    v = map_solution(reduced.u, babai.v) if reduced is not None else babai.v
+    v = babai.v if sb.u is None else map_solution(sb.u, babai.v)
     error_vs_original = float(np.linalg.norm(t - x @ v))
     print(f"optimum_error = {exact.error_l2!r}")
     print(f"babai_error   = {babai.error_l2!r}")
@@ -296,9 +253,9 @@ def _cmd_oracle(args) -> int:
     print(f"gamma_bound   = {gamma.gamma!r}")
 
     report = Report(
-        algorithm="babai+lll" if reduced is not None else "babai",
+        algorithm="babai" if sb.u is None else "babai+lll",
         n=x.shape[1], k=x.shape[0], m=1,
-        mu=mu, alpha=cfg.alpha, delta=args.delta,
+        mu=sb.mu, alpha=cfg.alpha, delta=args.delta,
         error_l2=error_vs_original,
         error_regularized=babai.error_l2,
         bound_abs_paper=abs_bound.paper, bound_abs_halfstep=abs_bound.half_step,
@@ -352,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--algo", choices=_ALGO_CHOICES, default="gptq")
     q.add_argument("--clamp", default=None, help="clamp v into LO:HI after the run")
     q.add_argument("--reduce", choices=["lll"], default=None)
-    q.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     q.add_argument("--out", default="V.csv")
     q.add_argument("--report", default="report.json")
     q.set_defaults(func=_cmd_quantize)
@@ -409,7 +365,7 @@ def main(argv=None) -> int:
     except DimensionTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -28,6 +28,14 @@ ENUM_MAX_DIM = 8
 _ENUM_BLOCK = 1 << 18
 
 
+class IntegerOverflow(OverflowError):
+    """An integer result does not fit the fixed-width output type."""
+
+    def __init__(self, value):
+        self.value = value
+        super().__init__(f"integer result {value} exceeds the int64 range")
+
+
 class DimensionTooLarge(ValueError):
     def __init__(self, n: int, limit: int = ENUM_MAX_DIM):
         self.n = n
@@ -93,26 +101,32 @@ class CvpSolution:
     certified: bool = False
 
 
-def _nearest_plane(basis_mat: np.ndarray, factors: QLFactors, t: np.ndarray,
-                   tie_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Shared nearest-plane sweep: round <t, Q_i>/L_ii, subtract v_i X_i."""
-    q, l = factors.q, factors.l
-    t0 = np.array(t, dtype=float)
-    t_cur = t0
-    n = basis_mat.shape[1]
-    v = np.empty(n, dtype=np.int64)
-    coeffs = np.empty(n)
-    for i in range(n):
-        c = float(t_cur @ q[:, i]) / float(l[i, i])
-        coeffs[i] = c
-        vi = round_half_even(c)
-        v[i] = vi
-        if vi != 0:
-            t_cur = t_cur - vi * basis_mat[:, i]
-    # Recompute the residual in one shot: same value as the accumulated
-    # t_cur up to roundoff, but exactly zero for lattice-point targets.
-    residual = t0 - basis_mat @ v.astype(float)
-    return v, coeffs, residual, fragile_indices(coeffs, tie_tol)
+def rows_to_int64(v: np.ndarray) -> np.ndarray:
+    """Cast rounded float rows to int64, refusing values that do not fit
+    (a plain cast would wrap them silently)."""
+    bad = ~((v >= -(2.0 ** 63)) & (v < 2.0 ** 63))
+    if np.any(bad):
+        raise IntegerOverflow(v[bad][0])
+    return v.astype(np.int64)
+
+
+def nearest_plane_rows(l: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-plane sweep for m targets at once.
+
+    Row r of p holds the data-space coordinates Q^T t of target r.  Step
+    i rounds the coefficient p_i / L_ii and subtracts v_i times column i
+    of X, whose coordinates are L[:, i]; the coordinates along Q_{>i} are
+    all a later step reads.  Every operation is elementwise, so a row's
+    bits do not depend on the other rows.  Returns the integer rows v and
+    the pre-rounding coefficients."""
+    p = np.array(p, dtype=float)
+    v = np.empty_like(p)
+    coeffs = np.empty_like(p)
+    for i in range(p.shape[1]):
+        coeffs[:, i] = c = p[:, i] / l[i, i]
+        v[:, i] = np.rint(c)
+        p[:, i + 1 :] -= np.outer(v[:, i], l[i + 1 :, i])
+    return rows_to_int64(v), coeffs
 
 
 def babai_nearest_plane(basis: LatticeBasis, w,
@@ -130,13 +144,14 @@ def babai_from_target(basis: LatticeBasis, t,
     is orthogonal to every Q_i and cannot change the rounding decisions.
     """
     t = check_vector(t, basis.k, "t")
-    v, coeffs, residual, fragile = _nearest_plane(basis.basis, basis.factors, t, tie_tol)
+    (v,), (coeffs,) = nearest_plane_rows(basis.factors.l, (t @ basis.factors.q)[None, :])
+    residual = t - basis.basis @ v
     return CvpSolution(
         v=v,
         residual=residual,
         error_l2=float(np.linalg.norm(residual)),
         step_coeffs=coeffs,
-        fragile=fragile,
+        fragile=fragile_indices(coeffs, tie_tol),
     )
 
 

@@ -195,14 +195,3 @@ def cholesky_spd(a, sym_tol: float = SYM_TOL) -> np.ndarray:
             l[j + 1 :, j] = (a[j + 1 :, j] - l[j + 1 :, :j] @ l[j, :j]) / ljj
     return l
 
-
-def least_squares_solve(a, b) -> np.ndarray:
-    """argmin_x ||a x - b||_2 for a with full column rank.
-
-    Solved through the QL factorization (L x = Q^T b), so rank failures
-    surface exactly like ql_decompose's.
-    """
-    a = check_matrix(a, "a")
-    b = check_vector(b, a.shape[0], "b")
-    factors = ql_decompose(a)
-    return solve_triangular(factors.l, factors.q.T @ b, lower=True)

@@ -14,8 +14,11 @@ The solvers here:
 
 All four provably return the same integer vector; the recursive variants
 exist to make that equivalence executable and are O(n) factorizations per
-solve, while gptq and babai are the production paths (one factorization,
-then O(n^2)).
+solve, while gptq and babai are the production paths.  Every row of a
+weight matrix is an independent problem on the same factor L, so
+quantize_matrix factors once and runs one O(m n^2) sweep over the
+columns for all m rows; the single-row functions are m = 1 callers of
+the same kernels.
 
 Rank-deficient calibration data (in particular k < n) is handled by
 stacking mu * I under X, which adds mu^2 to every eigenvalue of X^T X;
@@ -27,8 +30,8 @@ and an optional [lo, hi] clamp is applied to v after the full run.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,11 +39,12 @@ from scipy.linalg import solve_triangular
 
 from .lattice import (
     DEFAULT_TIE_TOL,
-    _nearest_plane,
     fragile_indices,
-    round_half_even,
+    nearest_plane_rows,
+    rows_to_int64,
 )
 from .linalg import QLFactors, check_matrix, check_vector, ql_decompose
+from .reduction import lll_reduce, map_solution
 
 ALGORITHMS = ("gptq", "gptq_rec", "babai", "babai_proj_rec")
 
@@ -52,18 +56,18 @@ class QuantConfig:
     mu:        regularizer (mu = sqrt(lambda)); 0 disables, "auto" picks
                sqrt(0.01 * mean diag of X^T X).
     alpha:     alphabet scale; quantized values live on alpha * Z.
-    rounding:  fixed to "half-to-even"; listed so configs are explicit.
     tie_tol:   half-integer proximity below which a coefficient is flagged
                fragile (rounding may legitimately differ between float
                paths).
     clamp:     optional inclusive integer interval applied to v after the
                full sequential run.
     algorithm: one of gptq | gptq_rec | babai | babai_proj_rec.
+
+    Rounding is always half-to-even (ties to even).
     """
 
     mu: float | str = 0.0
     alpha: float = 1.0
-    rounding: str = "half-to-even"
     tie_tol: float = DEFAULT_TIE_TOL
     clamp: tuple[int, int] | None = None
     algorithm: str = "gptq"
@@ -74,8 +78,6 @@ class QuantConfig:
                 raise ValueError(f"mu must be >= 0 or 'auto', got {self.mu!r}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.rounding != "half-to-even":
-            raise ValueError(f"unsupported rounding rule {self.rounding!r}")
         if not self.tie_tol >= 0:
             raise ValueError("tie_tol must be >= 0")
         if self.clamp is not None:
@@ -128,91 +130,94 @@ def regularize(x, mu: float) -> np.ndarray:
     return np.vstack([x, mu * np.eye(x.shape[1])])
 
 
-def _prepare(x, cfg: QuantConfig) -> tuple[np.ndarray, np.ndarray, QLFactors, float]:
-    """Validate x, apply regularization, factor the solver matrix once."""
+@dataclass(eq=False)
+class SolverBasis:
+    """The lattice a run solves on.
+
+    x is the validated calibration data and x_solver the matrix the
+    objective is measured with (x itself, or x with mu * I stacked under
+    it).  basis is x_solver or, after reduction, x_solver @ u with u the
+    exact unimodular transform (None without reduction); factors are the
+    QL factors of basis."""
+
+    x: np.ndarray
+    x_solver: np.ndarray
+    mu: float
+    basis: np.ndarray
+    factors: QLFactors
+    u: np.ndarray | None = None
+
+
+def solver_basis(x, mu: float | str, reduce_delta: float | None = None) -> SolverBasis:
+    """Validate x, resolve and apply the regularizer, optionally
+    LLL-reduce with parameter reduce_delta, and factor the basis once."""
     x = check_matrix(x, "x")
-    mu = resolve_mu(x, cfg.mu)
+    mu = resolve_mu(x, mu)
     x_solver = regularize(x, mu) if mu > 0 else x
-    factors = ql_decompose(x_solver)
-    return x, x_solver, factors, mu
+    basis, u = x_solver, None
+    if reduce_delta is not None:
+        reduced = lll_reduce(x_solver, reduce_delta)
+        basis, u = reduced.basis_red, reduced.u
+    return SolverBasis(x, x_solver, mu, basis, ql_decompose(basis), u)
 
 
-def _gptq_core(l_inv: np.ndarray, w: np.ndarray, tie_tol: float,
-               keep_history: bool):
-    """The sequential loop: round w_i, then shift the remaining
-    coordinates along column i of L^-1 so the already-fixed ones are
-    untouched.  Coordinate i is assigned v_i directly, which is what the
-    update does in exact arithmetic; this keeps the stabilized
-    coordinates exactly integer."""
+def _gptq_rows(l_inv: np.ndarray, w: np.ndarray,
+               history: list[np.ndarray] | None = None):
+    """The sequential loop for the rows of w at once: round column i,
+    then shift the remaining coordinates along column i of L^-1 so the
+    already-fixed ones are untouched.  Column i is assigned v_i directly,
+    which is what the update does in exact arithmetic; this keeps the
+    stabilized coordinates exactly integer.  history, when given,
+    collects the first row's w^(0) .. w^(n)."""
     w = np.array(w, dtype=float)
-    n = w.size
-    v = np.empty(n, dtype=np.int64)
-    coeffs = np.empty(n)
-    history = [w.copy()] if keep_history else None
-    for i in range(n):
-        c = float(w[i])
-        coeffs[i] = c
-        vi = round_half_even(c)
-        v[i] = vi
-        if i + 1 < n:
-            w[i + 1 :] += ((vi - c) / l_inv[i, i]) * l_inv[i + 1 :, i]
-        w[i] = float(vi)
-        if keep_history:
-            history.append(w.copy())
-    return v, coeffs, history, fragile_indices(coeffs, tie_tol)
+    coeffs = np.empty_like(w)
+    if history is not None:
+        history.append(w[0].copy())
+    for i in range(w.shape[1]):
+        coeffs[:, i] = c = w[:, i].copy()
+        v = np.rint(c)
+        w[:, i + 1 :] += np.outer((v - c) / l_inv[i, i], l_inv[i + 1 :, i])
+        w[:, i] = v
+        if history is not None:
+            history.append(w[0].copy())
+    return rows_to_int64(w), coeffs
 
 
-def _recursive_core(x_solver: np.ndarray, w: np.ndarray, variant: str,
-                    tie_tol: float):
-    """Suffix recursion, unrolled: at every level re-factor the current
-    column suffix, fix one coordinate, and recurse on the rest.
+def _recursive_rows(basis: np.ndarray, w: np.ndarray, variant: str):
+    """Suffix recursion, unrolled, one row at a time: at every level
+    re-factor the current column suffix, fix one coordinate, and recurse
+    on the rest.
 
     gptq_rec rounds w_1 directly; babai_proj_rec rounds the data-space
     coefficient <X w, Q_1>/L_11 (the same real number, by a telescoping
     identity).  Both then move w along column 1 of L^-1 and drop the
     first coordinate."""
-    x_cur = np.array(x_solver, dtype=float)
-    w_cur = np.array(w, dtype=float)
-    n = x_cur.shape[1]
-    v = np.empty(n, dtype=np.int64)
-    coeffs = np.empty(n)
-    for i in range(n):
-        factors = ql_decompose(x_cur)
-        if variant == "gptq_rec":
-            c = float(w_cur[0])
-        else:
-            t = x_cur @ w_cur
-            c = float(t @ factors.q[:, 0]) / float(factors.l[0, 0])
-        coeffs[i] = c
-        vi = round_half_even(c)
-        v[i] = vi
-        if i + 1 < n:
+    v = np.empty(w.shape)
+    coeffs = np.empty(w.shape)
+    for r, w_cur in enumerate(np.asarray(w, dtype=float)):
+        x_cur = basis
+        for i in range(w.shape[1]):
+            factors = ql_decompose(x_cur)
+            if variant == "gptq_rec":
+                c = float(w_cur[0])
+            else:
+                t = x_cur @ w_cur
+                c = float(t @ factors.q[:, 0]) / float(factors.l[0, 0])
+            coeffs[r, i] = c
+            v[r, i] = np.rint(c)
             l_inv = factors.l_inv
-            step = (vi - w_cur[0]) / l_inv[0, 0]
+            step = (v[r, i] - w_cur[0]) / l_inv[0, 0]
             w_cur = (w_cur + step * l_inv[:, 0])[1:]
             x_cur = x_cur[:, 1:]
-    return v, coeffs, fragile_indices(coeffs, tie_tol)
+    return rows_to_int64(v), coeffs
 
 
-def _dispatch(x_solver: np.ndarray, factors: QLFactors, w: np.ndarray,
-              algorithm: str, tie_tol: float, keep_history: bool):
-    """Run one of the four solvers on the (already regularized) matrix."""
-    if algorithm == "gptq":
-        return _gptq_core(factors.l_inv, w, tie_tol, keep_history)
-    if algorithm == "babai":
-        t = x_solver @ w
-        v, coeffs, _, fragile = _nearest_plane(x_solver, factors, t, tie_tol)
-        return v, coeffs, None, fragile
-    v, coeffs, fragile = _recursive_core(x_solver, w, algorithm, tie_tol)
-    return v, coeffs, None, fragile
-
-
-def _errors(x: np.ndarray, x_solver: np.ndarray, w_scaled: np.ndarray,
-            v: np.ndarray, alpha: float) -> tuple[float, float]:
-    diff = w_scaled - v
-    err = alpha * float(np.linalg.norm(x @ diff))
-    err_reg = alpha * float(np.linalg.norm(x_solver @ diff))
-    return err, err_reg
+def _row_errors(sb: SolverBasis, w: np.ndarray, v: np.ndarray, alpha: float):
+    """alpha ||X (w - v)|| per row, against the original and the
+    regularized X."""
+    diff = (w - v).T
+    return (alpha * np.linalg.norm(sb.x @ diff, axis=0),
+            alpha * np.linalg.norm(sb.x_solver @ diff, axis=0))
 
 
 def gptq_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
@@ -222,19 +227,18 @@ def gptq_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
     of scaled_quantize / quantize_matrix).  With cfg.mu = 0 and
     rank-deficient x this raises RankDeficient; the fix is mu > 0.
     """
-    x, x_solver, factors, _ = _prepare(x, cfg)
-    w = check_vector(w, x.shape[1], "w")
-    v, coeffs, history, fragile = _gptq_core(
-        factors.l_inv, w, cfg.tie_tol, keep_history=True
-    )
-    err, err_reg = _errors(x, x_solver, w, v, 1.0)
+    sb = solver_basis(x, cfg.mu)
+    w = check_vector(w, sb.x.shape[1], "w")[None, :]
+    history: list[np.ndarray] = []
+    v, coeffs = _gptq_rows(sb.factors.l_inv, w, history)
+    err, err_reg = _row_errors(sb, w, v, 1.0)
     return QuantResult(
-        v=v,
-        values=v.astype(float),
-        error_l2=err,
-        error_regularized=err_reg,
-        step_coeffs=coeffs,
-        fragile=fragile,
+        v=v[0],
+        values=v[0].astype(float),
+        error_l2=float(err[0]),
+        error_regularized=float(err_reg[0]),
+        step_coeffs=coeffs[0],
+        fragile=fragile_indices(coeffs[0], cfg.tie_tol),
         w_history=history,
     )
 
@@ -248,47 +252,28 @@ def gptq_quantize_recursive(x, w, cfg: QuantConfig = QuantConfig(),
     gptq_quantize bit for bit."""
     if variant not in ("gptq_rec", "babai_proj_rec"):
         raise ValueError(f"variant must be gptq_rec or babai_proj_rec, got {variant!r}")
-    x, x_solver, _, _ = _prepare(x, cfg)
-    w = check_vector(w, x.shape[1], "w")
-    v, coeffs, fragile = _recursive_core(x_solver, w, variant, cfg.tie_tol)
-    err, err_reg = _errors(x, x_solver, w, v, 1.0)
-    return QuantResult(
-        v=v,
-        values=v.astype(float),
-        error_l2=err,
-        error_regularized=err_reg,
-        step_coeffs=coeffs,
-        fragile=fragile,
+    return scaled_quantize(
+        x, w, dataclasses.replace(cfg, alpha=1.0, clamp=None, algorithm=variant)
     )
 
 
 def scaled_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
-    """Full-config solve of one row: algorithm dispatch, alphabet scale,
-    post-run clamp.
+    """Full-config solve of one row (algorithm, alphabet scale, post-run
+    clamp): quantize_matrix on a single row.
 
     Solves the problem for w / alpha on the same lattice, returns v and
     values = alpha * v; the error is ||X w - alpha X v||.  When clamp is
     set, v is clipped coordinatewise after the sequential run and the
     errors are recomputed for the clipped vector."""
-    x, x_solver, factors, _ = _prepare(x, cfg)
-    w = check_vector(w, x.shape[1], "w")
-    w_scaled = w / cfg.alpha
-    v, coeffs, history, fragile = _dispatch(
-        x_solver, factors, w_scaled, cfg.algorithm, cfg.tie_tol,
-        keep_history=(cfg.algorithm == "gptq"),
-    )
-    if cfg.clamp is not None:
-        lo, hi = cfg.clamp
-        v = np.clip(v, lo, hi)
-    err, err_reg = _errors(x, x_solver, w_scaled, v, cfg.alpha)
+    w = check_vector(w, name="w")
+    v, rep = quantize_matrix(w[None, :], x, cfg)
     return QuantResult(
-        v=v,
-        values=cfg.alpha * v.astype(float),
-        error_l2=err,
-        error_regularized=err_reg,
-        step_coeffs=coeffs,
-        fragile=fragile,
-        w_history=history,
+        v=v[0],
+        values=cfg.alpha * v[0].astype(float),
+        error_l2=float(rep.row_errors[0]),
+        error_regularized=float(rep.row_errors_regularized[0]),
+        step_coeffs=rep.step_coeffs[0],
+        fragile=[j for _, j in rep.fragile],
     )
 
 
@@ -307,62 +292,56 @@ class MatrixQuantReport:
 
 
 def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
-                    threads: int = 1) -> tuple[np.ndarray, MatrixQuantReport]:
+                    reduce_delta: float | None = None
+                    ) -> tuple[np.ndarray, MatrixQuantReport]:
     """Quantize every row of a weight matrix against shared calibration
     data.
 
-    The (regularized) calibration matrix is factored once; rows are then
-    independent problems and may be solved on several threads.  The output
-    does not depend on the row scheduling.  Total squared error is the sum
-    of the per-row squared errors."""
+    The (regularized) calibration matrix is factored once, and every row
+    is solved in one sweep over its columns (the recursive references go
+    row by row).  With reduce_delta set, the basis is first LLL-reduced
+    with that parameter: the solvers then run on each target's
+    coordinates on the reduced basis, the pull-back L_red^-1 Q_red^T X w,
+    and the solution maps back through the unimodular transform in exact
+    integers.  Total squared error is the sum of the per-row squared
+    errors."""
     weights = check_matrix(weights, "weights")
-    x, x_solver, factors, mu = _prepare(x, cfg)
+    x = check_matrix(x, "x")
     if weights.shape[1] != x.shape[1]:
         raise ValueError(
             f"weights have {weights.shape[1]} columns, calibration has {x.shape[1]}"
         )
-    m, n = weights.shape
-
-    def solve_row(i: int):
-        w_scaled = weights[i] / cfg.alpha
-        v, coeffs, _, fragile = _dispatch(
-            x_solver, factors, w_scaled, cfg.algorithm, cfg.tie_tol,
-            keep_history=False,
-        )
-        if cfg.clamp is not None:
-            v = np.clip(v, cfg.clamp[0], cfg.clamp[1])
-        err, err_reg = _errors(x, x_solver, w_scaled, v, cfg.alpha)
-        return i, v, coeffs, fragile, err, err_reg
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(solve_row, range(m)))
+    sb = solver_basis(x, cfg.mu, reduce_delta)
+    f = sb.factors
+    w_scaled = weights / cfg.alpha
+    w_basis = w_scaled
+    if sb.u is not None:
+        p = f.q.T @ (sb.x_solver @ w_scaled.T)
+        w_basis = solve_triangular(f.l, p, lower=True).T
+    if cfg.algorithm == "gptq":
+        v, coeffs = _gptq_rows(f.l_inv, w_basis)
+    elif cfg.algorithm == "babai":
+        # one product per row keeps each row's bits independent of m
+        v, coeffs = nearest_plane_rows(f.l, np.array([f.l @ w for w in w_basis]))
     else:
-        rows = [solve_row(i) for i in range(m)]
-
-    v_mat = np.empty((m, n), dtype=np.int64)
-    coeffs_mat = np.empty((m, n))
-    row_err = np.empty(m)
-    row_err_reg = np.empty(m)
-    fragile_all: list[tuple[int, int]] = []
-    for i, v, coeffs, fragile, err, err_reg in rows:
-        v_mat[i] = v
-        coeffs_mat[i] = coeffs
-        row_err[i] = err
-        row_err_reg[i] = err_reg
-        fragile_all.extend((i, j) for j in fragile)
-
+        v, coeffs = _recursive_rows(sb.basis, w_basis, cfg.algorithm)
+    if sb.u is not None:
+        v = map_solution(sb.u, v)
+    if cfg.clamp is not None:
+        v = np.clip(v, *cfg.clamp)
+    row_err, row_err_reg = _row_errors(sb, w_scaled, v, cfg.alpha)
+    n = x.shape[1]
     report = MatrixQuantReport(
         row_errors=row_err,
         row_errors_regularized=row_err_reg,
         total_error_l2=float(np.sqrt(np.sum(row_err ** 2))),
         total_error_regularized=float(np.sqrt(np.sum(row_err_reg ** 2))),
-        fragile=sorted(fragile_all),
-        step_coeffs=coeffs_mat,
-        mu=mu,
-        l_diag=factors.diag.copy(),
+        fragile=[divmod(j, n) for j in fragile_indices(coeffs.ravel(), cfg.tie_tol)],
+        step_coeffs=coeffs,
+        mu=sb.mu,
+        l_diag=f.diag.copy(),
     )
-    return v_mat, report
+    return v, report
 
 
 @dataclass(eq=False)
@@ -402,34 +381,27 @@ def cross_layer_target(x, x_hat, w, cfg: QuantConfig = QuantConfig()) -> CrossLa
     if x.shape != x_hat.shape:
         raise ValueError(f"x and x_hat shapes differ: {x.shape} vs {x_hat.shape}")
     w = check_vector(w, x.shape[1], "w")
-    n = x.shape[1]
+    sb = solver_basis(x_hat, cfg.mu)
+    f = sb.factors
 
-    mu = resolve_mu(x_hat, cfg.mu)
     t = x @ w
-    t_work = t / cfg.alpha
-    if mu > 0:
-        b_mat = regularize(x_hat, mu)
-        t_emb = np.concatenate([t_work, np.zeros(n)])
-    else:
-        b_mat = x_hat
-        t_emb = t_work
-    factors = ql_decompose(b_mat)
+    t_emb = np.concatenate([t / cfg.alpha, np.zeros(sb.x_solver.shape[0] - t.size)])
+    p = t_emb @ f.q
+    w_hat = solve_triangular(f.l, p, lower=True)
+    (v_b,), (coeffs_b,) = nearest_plane_rows(f.l, p[None, :])
+    (v_g,), (coeffs_g,) = _gptq_rows(f.l_inv, w_hat[None, :])
 
-    w_hat = solve_triangular(factors.l, factors.q.T @ t_emb, lower=True)
-    v_b, coeffs_b, _, fragile_b = _nearest_plane(b_mat, factors, t_emb, cfg.tie_tol)
-    v_g, _, _, fragile_g = _gptq_core(factors.l_inv, w_hat, cfg.tie_tol,
-                                      keep_history=False)
-
-    fragile = sorted(set(fragile_b) | set(fragile_g))
-    solid = np.setdiff1d(np.arange(n), np.array(fragile, dtype=int))
+    fragile = sorted(set(fragile_indices(coeffs_b, cfg.tie_tol))
+                     | set(fragile_indices(coeffs_g, cfg.tie_tol)))
+    solid = np.setdiff1d(np.arange(x.shape[1]), np.array(fragile, dtype=int))
     routes_agree = bool(np.array_equal(v_b[solid], v_g[solid]))
 
     v = v_b
     if cfg.clamp is not None:
-        v = np.clip(v, cfg.clamp[0], cfg.clamp[1])
+        v = np.clip(v, *cfg.clamp)
     values = cfg.alpha * v.astype(float)
     err = float(np.linalg.norm(t - x_hat @ values))
-    err_reg = cfg.alpha * float(np.linalg.norm(t_emb - b_mat @ v))
+    err_reg = cfg.alpha * float(np.linalg.norm(t_emb - sb.x_solver @ v))
     projected = x_hat @ (cfg.alpha * w_hat)
     result = QuantResult(
         v=v,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeBasis, round_half_even
+from .lattice import IntegerOverflow, LatticeBasis, round_half_even
 from .linalg import check_matrix, ql_decompose
 
 DEFAULT_DELTA = 0.99
@@ -26,14 +26,6 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 # Exact determinant check is done in integer arithmetic up to this size.
 _EXACT_DET_MAX = 12
-
-
-class IntegerOverflow(OverflowError):
-    """An exact integer result does not fit the fixed-width output type."""
-
-    def __init__(self, value: int):
-        self.value = value
-        super().__init__(f"integer result {value} exceeds the int64 range")
 
 
 @dataclass(eq=False)
@@ -117,18 +109,16 @@ def lll_reduce(basis, delta: float = DEFAULT_DELTA) -> ReducedBasis:
 
 def map_solution(u: np.ndarray, v_red) -> np.ndarray:
     """Map a solution on the reduced basis back: v = u @ v_red, in exact
-    integer arithmetic.  Raises IntegerOverflow instead of wrapping."""
-    n = u.shape[0]
-    if u.shape[1] != len(v_red):
-        raise ValueError(f"u is {u.shape}, v_red has length {len(v_red)}")
-    vr = [int(c) for c in v_red]
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        s = sum(int(u[i, j]) * vr[j] for j in range(len(vr)))
+    integer arithmetic.  v_red is one vector or a matrix of row vectors.
+    Raises IntegerOverflow instead of wrapping."""
+    v_red = np.array(v_red, dtype=object)
+    if u.shape[1] != v_red.shape[-1]:
+        raise ValueError(f"u is {u.shape}, v_red has length {v_red.shape[-1]}")
+    exact = v_red @ np.array(u, dtype=object).T
+    for s in exact.flat:
         if abs(s) > _INT64_MAX:
             raise IntegerOverflow(s)
-        out[i] = s
-    return out
+    return exact.astype(np.int64)
 
 
 def _det_bareiss(m: list[list[int]]) -> int:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from latquant.cli import main
+from latquant.lattice import LatticeBasis, babai_from_target
 from latquant.matio import load_matrix_csv, save_matrix_csv
+from latquant.reduction import DEFAULT_DELTA, lll_reduce, map_solution
 from latquant.report import REPORT_SCHEMA
 
 
@@ -116,6 +118,49 @@ class TestQuantize:
         v = np.array(data["v"])
         np.testing.assert_allclose(np.array([[3.0, 5.0], [1.0, 2.0]]) @ v, [0.0, 0.0],
                                    atol=1e-12)
+
+    def test_reduce_path_honours_algo_on_matrices(self, workdir):
+        rng = np.random.default_rng(17)
+        x = rng.uniform(-1, 1, (12, 5)) @ rng.uniform(-2, 2, (5, 5))
+        w = rng.uniform(-3, 3, (6, 5))
+        calib, weights = write(workdir / "X.csv", x), write(workdir / "W.csv", w)
+        outputs = {}
+        for algo in ("gptq", "babai"):
+            assert main(["quantize", "--weights", weights, "--calib", calib,
+                         "--alpha", "0.5", "--reduce", "lll", "--algo", algo,
+                         "--out", f"V_{algo}.csv", "--report", f"r_{algo}.json"]) == 0
+            data, _ = read_report(workdir / f"r_{algo}.json")
+            assert data["algorithm"] == f"{algo}+lll"
+            assert data["fragile_count"] == 0
+            outputs[algo] = (workdir / f"V_{algo}.csv").read_bytes()
+        assert outputs["gptq"] == outputs["babai"]
+        # the same answer, row by row, from nearest plane on the reduced basis
+        reduced = lll_reduce(x, DEFAULT_DELTA)
+        lat = LatticeBasis(reduced.basis_red)
+        expected = [map_solution(reduced.u, babai_from_target(lat, x @ (row / 0.5)).v)
+                    for row in w]
+        np.testing.assert_array_equal(load_matrix_csv(workdir / "V_gptq.csv"), expected)
+
+    def test_overflow_exits_2_without_writing(self, workdir, capsys):
+        calib = write(workdir / "X.csv", [[3.0, 5.0], [1.0, 2.0]])
+        weights = write(workdir / "W.csv", [[1e19, 0.5]])
+        assert main(["quantize", "--weights", weights, "--calib", calib]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "int64" in err
+        assert "Traceback" not in err
+        assert not (workdir / "V.csv").exists()
+
+    def test_summary_prints_the_reported_bound(self, workdir, capsys):
+        calib = write(workdir / "X.csv", [[3.0, 5.0], [1.0, 2.0]])
+        weights = write(workdir / "W.csv", [[-1.2, 0.8], [0.3, 2.6], [1.7, -0.4]])
+        assert main(["quantize", "--weights", weights, "--calib", calib,
+                     "--alpha", "0.5"]) == 0
+        data, _ = read_report(workdir / "report.json")
+        printed = re.search(r"\(bound ([^)]+)\)", capsys.readouterr().out).group(1)
+        assert float(printed) == data["bound_abs_paper"]
+        # sum of L_ii^2 is 29 + 1/29; three rows on the half grid
+        expected = 0.5 * np.sqrt(3) * np.sqrt(29 + 1 / 29)
+        assert data["bound_abs_paper"] == pytest.approx(expected, rel=1e-12)
 
     def test_bound_covers_total_error_for_matrix_runs(self, workdir):
         # the reported bound is the per-row guarantee scaled by alpha*sqrt(m)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from latquant.linalg import (
     IllConditionedWarning,
@@ -8,7 +9,6 @@ from latquant.linalg import (
     SingularDiagonal,
     cholesky_spd,
     invert_lower_triangular,
-    least_squares_solve,
     ql_decompose,
 )
 
@@ -182,6 +182,13 @@ class TestCholeskySpd:
         via_cholesky = cholesky_spd(gram_inv)
         via_ql = invert_lower_triangular(ql_decompose(worked_basis).l)
         np.testing.assert_allclose(via_cholesky, via_ql, atol=1e-10)
+
+
+def least_squares_solve(a, b):
+    """The pull-back L^-1 Q^T b that cross_layer_target and the reduced
+    path of quantize_matrix compute from the QL factors of a."""
+    factors = ql_decompose(a)
+    return solve_triangular(factors.l, factors.q.T @ b, lower=True)
 
 
 class TestLeastSquares:

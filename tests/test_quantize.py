@@ -3,9 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latquant.lattice import LatticeBasis, babai_nearest_plane, round_half_even
+from latquant.lattice import (
+    IntegerOverflow,
+    LatticeBasis,
+    babai_nearest_plane,
+    round_half_even,
+)
 from latquant.linalg import RankDeficient, invert_lower_triangular, ql_decompose
 from latquant.quantize import (
+    ALGORITHMS,
     QuantConfig,
     cross_layer_target,
     gptq_quantize,
@@ -29,7 +35,7 @@ class TestQuantConfig:
             {"mu": "later"},
             {"alpha": 0.0},
             {"alpha": -2.0},
-            {"rounding": "half-up"},
+            {"tie_tol": -1.0},
             {"clamp": (3, 1)},
             {"algorithm": "rounding"},
         ],
@@ -274,14 +280,25 @@ class TestQuantizeMatrix:
             sum(e ** 2 for e in row_errs), rel=1e-12
         )
 
-    def test_thread_count_does_not_change_output(self):
+    @pytest.mark.parametrize("algorithm", ["gptq", "babai"])
+    def test_batch_matches_stacked_single_rows(self, algorithm):
+        # the row-batched sweep gives every row the bits of its m = 1 solve
         rng = np.random.default_rng(47)
         x = rng.uniform(-1.0, 1.0, (10, 4))
         weights = rng.uniform(-2.0, 2.0, (16, 4))
-        v1, rep1 = quantize_matrix(weights, x, threads=1)
-        v4, rep4 = quantize_matrix(weights, x, threads=4)
-        np.testing.assert_array_equal(v1, v4)
-        np.testing.assert_array_equal(rep1.row_errors, rep4.row_errors)
+        cfg = QuantConfig(mu=0.1, alpha=0.3, algorithm=algorithm)
+        v, rep = quantize_matrix(weights, x, cfg)
+        rows = [quantize_matrix(w[None, :], x, cfg) for w in weights]
+        np.testing.assert_array_equal(v, np.vstack([r[0] for r in rows]))
+        np.testing.assert_array_equal(
+            rep.step_coeffs, np.vstack([r[1].step_coeffs for r in rows])
+        )
+
+    def test_overflow_is_an_error_not_a_wrapped_value(self):
+        x = np.array([[3.0, 5.0], [1.0, 2.0]])
+        for algorithm in ALGORITHMS:
+            with pytest.raises(IntegerOverflow):
+                quantize_matrix(np.array([[1e19, 0.5]]), x, QuantConfig(algorithm=algorithm))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="columns"):
