@@ -73,8 +73,9 @@ def _reduce_delta(args) -> float | None:
 
 def _write_report(args, report: Report) -> None:
     if args.report:
+        text = report.to_json()  # may refuse a non-finite value: open no file before
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+            fh.write(text)
 
 
 def _cmd_quantize(args) -> int:
@@ -166,8 +167,8 @@ def _cmd_compare(args) -> int:
     x, w, results = last
     ref = results["gptq"]
     sb = solver_basis(x, cfg.mu)
-    abs_bound = absolute_error_bound(sb.factors)
-    gamma = relative_error_factor(sb.factors)
+    abs_bound = absolute_error_bound(np.diag(sb.l))
+    gamma = relative_error_factor(np.diag(sb.l))
     report = Report(
         algorithm="compare",
         n=x.shape[1], k=x.shape[0], m=1,
@@ -204,11 +205,11 @@ def _cmd_bounds(args) -> int:
     cfg = _config(args)
     sb = solver_basis(x, cfg.mu)
     print(f"n={x.shape[1]} k={x.shape[0]} mu={sb.mu!r}")
-    _print_bounds("input basis", sb.factors.diag)
+    _print_bounds("input basis", np.diag(sb.l))
     reduce_delta = _reduce_delta(args)
     if reduce_delta is not None:
         _print_bounds(f"after lll(delta={reduce_delta})",
-                      solver_basis(x, cfg.mu, reduce_delta).factors.diag)
+                      np.diag(solver_basis(x, cfg.mu, reduce_delta).l))
     return 0
 
 

@@ -5,7 +5,7 @@ the task is to pick v with integer entries minimizing ||X w - X v||_2.
 The solvers here:
 
   gptq            sequential rounding with a correction of the remaining
-                  coordinates through the column of L^-1 (L from X = Q L)
+                  coordinates through the column of L^-1 (L^T L = X^T X)
   gptq_rec        the same computation written as a recursion that
                   re-factors the column suffix X_{>=2} at every level
   babai           the nearest-plane sweep in data space (see lattice.py)
@@ -18,7 +18,10 @@ solve, while gptq and babai are the production paths.  Every row of a
 weight matrix is an independent problem on the same factor L, so
 quantize_matrix factors once and runs one O(m n^2) sweep over the
 columns for all m rows; the single-row functions are m = 1 callers of
-the same kernels.
+the same kernels.  The production paths need only L, never Q: it comes
+from a Cholesky factorization of the n x n Gram matrix, and from a QR
+factorization of the k x n basis only when that Gram matrix is too
+ill-conditioned (linalg.gram_factor).
 
 Rank-deficient calibration data (in particular k < n) is handled by
 stacking mu * I under X, which adds mu^2 to every eigenvalue of X^T X;
@@ -43,7 +46,13 @@ from .lattice import (
     nearest_plane_rows,
     rows_to_int64,
 )
-from .linalg import QLFactors, check_matrix, check_vector, ql_decompose
+from .linalg import (
+    check_matrix,
+    check_vector,
+    gram_factor,
+    invert_lower_triangular,
+    ql_decompose,
+)
 from .reduction import lll_reduce, map_solution
 
 ALGORITHMS = ("gptq", "gptq_rec", "babai", "babai_proj_rec")
@@ -74,10 +83,11 @@ class QuantConfig:
 
     def __post_init__(self):
         if self.mu != "auto":
-            if not isinstance(self.mu, (int, float)) or self.mu < 0:
-                raise ValueError(f"mu must be >= 0 or 'auto', got {self.mu!r}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+            if (not isinstance(self.mu, (int, float)) or not math.isfinite(self.mu)
+                    or self.mu < 0):
+                raise ValueError(f"mu must be finite and >= 0 or 'auto', got {self.mu!r}")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if not self.tie_tol >= 0:
             raise ValueError("tie_tol must be >= 0")
         if self.clamp is not None:
@@ -111,10 +121,11 @@ class QuantResult:
 def resolve_mu(x: np.ndarray, mu: float | str) -> float:
     """Turn the config's mu into a number ("auto" keys off mean diag X^T X)."""
     if mu == "auto":
-        return math.sqrt(0.01 * float(np.mean(np.sum(x * x, axis=0))))
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            mu = math.sqrt(0.01 * float(np.mean(np.sum(x * x, axis=0))))
     mu = float(mu)
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
+    if not (math.isfinite(mu) and mu >= 0):
+        raise ValueError(f"mu must be finite and >= 0, got {mu}")
     return mu
 
 
@@ -137,20 +148,30 @@ class SolverBasis:
     x is the validated calibration data and x_solver the matrix the
     objective is measured with (x itself, or x with mu * I stacked under
     it).  basis is x_solver or, after reduction, x_solver @ u with u the
-    exact unimodular transform (None without reduction); factors are the
-    QL factors of basis."""
+    exact unimodular transform (None without reduction).  l is the
+    lower-triangular factor with positive diagonal and
+    l^T l = basis^T basis, all the solvers need: the coordinates Q^T t
+    of a point t on the basis's Gram-Schmidt directions are
+    l^-T basis^T t, so Q is never formed.  l comes from the Cholesky
+    factorization of basis^T basis, or from the QL factorization of basis
+    when that Gram matrix fails linalg.gram_factor's conditioning gate."""
 
     x: np.ndarray
     x_solver: np.ndarray
     mu: float
     basis: np.ndarray
-    factors: QLFactors
+    l: np.ndarray
     u: np.ndarray | None = None
 
 
 def solver_basis(x, mu: float | str, reduce_delta: float | None = None) -> SolverBasis:
     """Validate x, resolve and apply the regularizer, optionally
-    LLL-reduce with parameter reduce_delta, and factor the basis once."""
+    LLL-reduce with parameter reduce_delta, and factor the basis once.
+
+    The Gram matrix basis^T basis is X^T X + mu^2 I, or B^T B for the
+    reduced basis B.  Where gram_factor declines it, ql_decompose(basis)
+    supplies l and raises RankDeficient or warns IllConditionedWarning
+    as the input calls for."""
     x = check_matrix(x, "x")
     mu = resolve_mu(x, mu)
     x_solver = regularize(x, mu) if mu > 0 else x
@@ -158,7 +179,10 @@ def solver_basis(x, mu: float | str, reduce_delta: float | None = None) -> Solve
     if reduce_delta is not None:
         reduced = lll_reduce(x_solver, reduce_delta)
         basis, u = reduced.basis_red, reduced.u
-    return SolverBasis(x, x_solver, mu, basis, ql_decompose(basis), u)
+    l = gram_factor(basis.T @ basis)
+    if l is None:
+        l = ql_decompose(basis).l
+    return SolverBasis(x, x_solver, mu, basis, l, u)
 
 
 def _gptq_rows(l_inv: np.ndarray, w: np.ndarray,
@@ -230,7 +254,7 @@ def gptq_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
     sb = solver_basis(x, cfg.mu)
     w = check_vector(w, sb.x.shape[1], "w")[None, :]
     history: list[np.ndarray] = []
-    v, coeffs = _gptq_rows(sb.factors.l_inv, w, history)
+    v, coeffs = _gptq_rows(invert_lower_triangular(sb.l), w, history)
     err, err_reg = _row_errors(sb, w, v, 1.0)
     return QuantResult(
         v=v[0],
@@ -301,10 +325,10 @@ def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
     is solved in one sweep over its columns (the recursive references go
     row by row).  With reduce_delta set, the basis is first LLL-reduced
     with that parameter: the solvers then run on each target's
-    coordinates on the reduced basis, the pull-back L_red^-1 Q_red^T X w,
-    and the solution maps back through the unimodular transform in exact
-    integers.  Total squared error is the sum of the per-row squared
-    errors."""
+    coordinates on the reduced basis B, the least-squares pull-back
+    L_red^-1 L_red^-T B^T X w, and the solution maps back through the
+    unimodular transform in exact integers.  Total squared error is the
+    sum of the per-row squared errors."""
     weights = check_matrix(weights, "weights")
     x = check_matrix(x, "x")
     if weights.shape[1] != x.shape[1]:
@@ -312,17 +336,18 @@ def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
             f"weights have {weights.shape[1]} columns, calibration has {x.shape[1]}"
         )
     sb = solver_basis(x, cfg.mu, reduce_delta)
-    f = sb.factors
+    l = sb.l
     w_scaled = weights / cfg.alpha
     w_basis = w_scaled
     if sb.u is not None:
-        p = f.q.T @ (sb.x_solver @ w_scaled.T)
-        w_basis = solve_triangular(f.l, p, lower=True).T
+        p = solve_triangular(l, (sb.basis.T @ sb.x_solver) @ w_scaled.T,
+                             lower=True, trans="T")
+        w_basis = solve_triangular(l, p, lower=True).T
     if cfg.algorithm == "gptq":
-        v, coeffs = _gptq_rows(f.l_inv, w_basis)
+        v, coeffs = _gptq_rows(invert_lower_triangular(l), w_basis)
     elif cfg.algorithm == "babai":
         # one product per row keeps each row's bits independent of m
-        v, coeffs = nearest_plane_rows(f.l, np.array([f.l @ w for w in w_basis]))
+        v, coeffs = nearest_plane_rows(l, np.array([l @ w for w in w_basis]))
     else:
         v, coeffs = _recursive_rows(sb.basis, w_basis, cfg.algorithm)
     if sb.u is not None:
@@ -339,7 +364,7 @@ def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
         fragile=[divmod(j, n) for j in fragile_indices(coeffs.ravel(), cfg.tie_tol)],
         step_coeffs=coeffs,
         mu=sb.mu,
-        l_diag=f.diag.copy(),
+        l_diag=np.diag(l).copy(),
     )
     return v, report
 
@@ -382,14 +407,15 @@ def cross_layer_target(x, x_hat, w, cfg: QuantConfig = QuantConfig()) -> CrossLa
         raise ValueError(f"x and x_hat shapes differ: {x.shape} vs {x_hat.shape}")
     w = check_vector(w, x.shape[1], "w")
     sb = solver_basis(x_hat, cfg.mu)
-    f = sb.factors
+    l = sb.l
 
     t = x @ w
     t_emb = np.concatenate([t / cfg.alpha, np.zeros(sb.x_solver.shape[0] - t.size)])
-    p = t_emb @ f.q
-    w_hat = solve_triangular(f.l, p, lower=True)
-    (v_b,), (coeffs_b,) = nearest_plane_rows(f.l, p[None, :])
-    (v_g,), (coeffs_g,) = _gptq_rows(f.l_inv, w_hat[None, :])
+    # Q^T t_emb = L^-T x_solver^T t_emb, and t_emb is zero on the mu * I rows
+    p = solve_triangular(l, x_hat.T @ t, lower=True, trans="T") / cfg.alpha
+    w_hat = solve_triangular(l, p, lower=True)
+    (v_b,), (coeffs_b,) = nearest_plane_rows(l, p[None, :])
+    (v_g,), (coeffs_g,) = _gptq_rows(invert_lower_triangular(l), w_hat[None, :])
 
     fragile = sorted(set(fragile_indices(coeffs_b, cfg.tie_tol))
                      | set(fragile_indices(coeffs_g, cfg.tie_tol)))

@@ -9,6 +9,7 @@ values round-trip exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,8 @@ class Report:
 
 
 def _format_real(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"cannot render the non-finite real {float(x)!r} as JSON")
     s = format(float(x), ".17g")
     if "." not in s and "e" not in s and "E" not in s:
         s += ".0"  # keep JSON type stable across round-trips
@@ -99,7 +102,8 @@ def _format_real(x: float) -> str:
 
 def render_json(value) -> str:
     """JSON with reals at 17 significant digits (bools checked before
-    ints; numpy scalars welcome)."""
+    ints; numpy scalars welcome).  JSON has no inf or nan, so a
+    non-finite real raises ValueError."""
     if isinstance(value, dict):
         items = ",".join(f"{json.dumps(str(k))}:{render_json(v)}" for k, v in value.items())
         return "{" + items + "}"

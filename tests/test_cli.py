@@ -150,6 +150,29 @@ class TestQuantize:
         assert "Traceback" not in err
         assert not (workdir / "V.csv").exists()
 
+    @pytest.mark.parametrize("option", [["--mu", "nan"], ["--mu", "inf"],
+                                        ["--alpha", "inf"], ["--alpha", "nan"]])
+    def test_non_finite_mu_or_alpha_exits_2_without_writing(self, workdir, capsys, option):
+        calib = write(workdir / "X.csv", [[3.0, 5.0], [1.0, 2.0]])
+        weights = write(workdir / "W.csv", [[0.4, 0.7]])
+        assert main(["quantize", "--weights", weights, "--calib", calib, *option]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert "Traceback" not in err
+        assert not (workdir / "report.json").exists()
+        assert not (workdir / "V.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_error_writes_no_report(self, workdir, capsys):
+        # the squared norms overflow, so error_l2 and the bounds read inf
+        calib = write(workdir / "X.csv", [[3e160, 5e160], [1e160, 2e160]])
+        weights = write(workdir / "W.csv", [[0.4, 0.7]])
+        assert main(["quantize", "--weights", weights, "--calib", calib]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+        assert not (workdir / "report.json").exists()
+
     def test_summary_prints_the_reported_bound(self, workdir, capsys):
         calib = write(workdir / "X.csv", [[3.0, 5.0], [1.0, 2.0]])
         weights = write(workdir / "W.csv", [[-1.2, 0.8], [0.3, 2.6], [1.7, -0.4]])

@@ -3,14 +3,17 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from latquant.linalg import (
+    GRAM_COND_MAX,
     IllConditionedWarning,
     NotPositiveDefinite,
     RankDeficient,
     SingularDiagonal,
     cholesky_spd,
+    gram_factor,
     invert_lower_triangular,
     ql_decompose,
 )
+from latquant.quantize import solver_basis
 
 SQRT29 = np.sqrt(29.0)
 
@@ -106,6 +109,38 @@ class TestQlDecompose:
             ql_decompose(np.array([[1.0], [np.nan]]))
 
 
+class TestGramFactor:
+    def test_worked_2x2_matches_ql(self, worked_basis):
+        # cond(L) = 46 in the 1-norm, inside the gate
+        l = gram_factor(worked_basis.T @ worked_basis)
+        np.testing.assert_allclose(l, ql_decompose(worked_basis).l, rtol=1e-12)
+        assert l[0, 1] == 0.0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_ql_factor_on_random_input(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        x = rng.standard_normal((2 * n + 8, n))
+        l = gram_factor(x.T @ x)
+        assert l is not None
+        np.testing.assert_allclose(l, ql_decompose(x).l, rtol=1e-10, atol=1e-12)
+        assert np.all(np.diag(l) > 0)
+        assert np.all(np.triu(l, 1) == 0.0)
+
+    def test_declines_past_the_gate(self):
+        # diagonal L, so its condition number is the ratio of the entries
+        assert gram_factor(np.diag([1.0, (10 * GRAM_COND_MAX) ** 2])) is None
+        assert gram_factor(np.diag([1.0, (GRAM_COND_MAX / 10) ** 2])) is not None
+
+    @pytest.mark.parametrize("h", [
+        np.array([[1.0, 1.0], [1.0, 1.0]]),  # singular
+        np.diag([1.0, -1.0]),  # indefinite
+        np.diag([1.0, np.inf]),  # overflowed
+    ])
+    def test_declines_what_cholesky_cannot_factor(self, h):
+        assert gram_factor(h) is None
+
+
 class TestInvertLowerTriangular:
     def test_identity(self):
         np.testing.assert_array_equal(invert_lower_triangular(np.eye(3)), np.eye(3))
@@ -185,10 +220,12 @@ class TestCholeskySpd:
 
 
 def least_squares_solve(a, b):
-    """The pull-back L^-1 Q^T b that cross_layer_target and the reduced
-    path of quantize_matrix compute from the QL factors of a."""
-    factors = ql_decompose(a)
-    return solve_triangular(factors.l, factors.q.T @ b, lower=True)
+    """The pull-back L^-1 L^-T a^T b that cross_layer_target and the
+    reduced path of quantize_matrix compute from the factor L of a
+    (L^T L = a^T a, Q^T b = L^-T a^T b)."""
+    l = solver_basis(a, 0.0).l
+    return solve_triangular(l, solve_triangular(l, a.T @ b, lower=True, trans="T"),
+                            lower=True)
 
 
 class TestLeastSquares:

@@ -3,13 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latquant.lattice
+import latquant.linalg
+import latquant.quantize
+import latquant.reduction
 from latquant.lattice import (
     IntegerOverflow,
     LatticeBasis,
     babai_nearest_plane,
+    fragile_indices,
     round_half_even,
 )
-from latquant.linalg import RankDeficient, invert_lower_triangular, ql_decompose
+from latquant.linalg import RankDeficient, gram_factor, invert_lower_triangular, ql_decompose
 from latquant.quantize import (
     ALGORITHMS,
     QuantConfig,
@@ -35,6 +40,10 @@ class TestQuantConfig:
             {"mu": "later"},
             {"alpha": 0.0},
             {"alpha": -2.0},
+            {"mu": float("nan")},
+            {"mu": float("inf")},
+            {"alpha": float("inf")},
+            {"alpha": float("nan")},
             {"tie_tol": -1.0},
             {"clamp": (3, 1)},
             {"algorithm": "rounding"},
@@ -76,6 +85,15 @@ class TestResolveMu:
 
     def test_passthrough(self):
         assert resolve_mu(np.eye(2), 0.25) == 0.25
+
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -1.0])
+    def test_rejects_negative_and_non_finite(self, mu):
+        with pytest.raises(ValueError, match="finite"):
+            resolve_mu(np.eye(2), mu)
+
+    def test_auto_rejects_an_overflowing_gram_diagonal(self):
+        with pytest.raises(ValueError, match="finite"):
+            resolve_mu(np.full((2, 2), 1e200), "auto")
 
 
 class TestGptq:
@@ -342,3 +360,83 @@ class TestCrossLayer:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes differ"):
             cross_layer_target(np.eye(2), np.eye(3), np.zeros(2))
+
+
+def conditioned_instance(seed: int, decade: int, k: int = 64, n: int = 32):
+    """x (k x n) with singular values log-spaced from 1 down to
+    10^-decade, and four weight rows in [-8, 8]."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((k, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (u * np.logspace(0, -decade, n)) @ v.T, rng.uniform(-8.0, 8.0, (4, n))
+
+
+def outcome(weights, x):
+    """V and the step coefficients of quantize_matrix at mu = 0, or the
+    index of its RankDeficient."""
+    try:
+        v, rep = quantize_matrix(weights, x)
+    except RankDeficient as exc:
+        return exc.index
+    return v, rep.step_coeffs
+
+
+class TestGramRoute:
+    """quantize_matrix factors the Gram matrix, against the QR route
+    (gram_factor switched off), over cond 1e0 - 1e12 at mu = 0."""
+
+    @pytest.mark.filterwarnings("ignore::latquant.linalg.IllConditionedWarning")
+    @pytest.mark.parametrize("decade", range(13))
+    def test_agreement_sweep(self, decade, monkeypatch):
+        for seed in range(20):
+            x, weights = conditioned_instance(1000 * decade + seed, decade)
+            gram_side = gram_factor(x.T @ x) is not None
+            if decade <= 2:
+                assert gram_side
+            if decade >= 4:
+                assert not gram_side
+            got = outcome(weights, x)
+            with monkeypatch.context() as m:
+                m.setattr(latquant.quantize, "gram_factor", lambda h: None)
+                want = outcome(weights, x)
+            if not gram_side:
+                # the same factor L: bit for bit, errors included
+                assert type(got) is type(want)
+                if isinstance(want, int):
+                    assert got == want
+                else:
+                    np.testing.assert_array_equal(got[0], want[0])
+                    np.testing.assert_array_equal(got[1], want[1])
+                continue
+            (v, coeffs), (v_qr, coeffs_qr) = got, want
+            assert np.abs(coeffs - coeffs_qr).max() <= 1e-10
+            fragile = fragile_indices(coeffs.ravel()) + fragile_indices(coeffs_qr.ravel())
+            solid = np.setdiff1d(np.arange(v.size), fragile)
+            np.testing.assert_array_equal(v.ravel()[solid], v_qr.ravel()[solid])
+
+    def test_duplicate_columns_still_rank_deficient(self):
+        x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        for call in (lambda: quantize_matrix(np.array([[0.4, 0.7]]), x),
+                     lambda: cross_layer_target(x, x, np.array([0.4, 0.7]))):
+            with pytest.raises(RankDeficient) as exc:
+                call()
+            assert exc.value.index == 0
+
+    def test_no_qr_factorization_with_mu_auto(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return ql_decompose(*args, **kwargs)
+
+        for module in (latquant.linalg, latquant.lattice, latquant.quantize,
+                       latquant.reduction):
+            monkeypatch.setattr(module, "ql_decompose", counting)
+        rng = np.random.default_rng(67)
+        x = rng.standard_normal((1024, 64))
+        x_hat = x + 0.05 * rng.standard_normal((1024, 64))
+        weights = rng.standard_normal((8, 64)) / 4
+        cfg = QuantConfig(mu="auto", alpha=0.1)
+        quantize_matrix(weights, x, cfg)
+        cross_layer_target(x, x_hat, weights[0], cfg)
+        assert calls == []

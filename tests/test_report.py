@@ -73,6 +73,12 @@ class TestRenderJson:
         out = render_json({"v": np.array([1, -2]), "e": np.float64(0.5)})
         assert json.loads(out) == {"v": [1, -2], "e": 0.5}
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_reals(self, x):
+        # JSON has no inf or nan; Python's json would write invalid text
+        with pytest.raises(ValueError, match="non-finite"):
+            render_json({"mu": [0.5, np.float64(x)]})
+
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             render_json(object())
