@@ -71,9 +71,14 @@ def _reduce_delta(args) -> float | None:
     return args.delta if args.reduce == "lll" else None
 
 
-def _write_report(args, report: Report) -> None:
-    if args.report:
-        text = report.to_json()  # may refuse a non-finite value: open no file before
+def _write_outputs(args, report: Report, v_mat: np.ndarray | None = None) -> None:
+    """Write v_mat to --out (when given) and the report to --report (when
+    named).  Rendering refuses a non-finite value, so it runs before any
+    file is written."""
+    text = report.to_json() if args.report else None
+    if v_mat is not None:
+        save_matrix_csv(args.out, v_mat)
+    if text is not None:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text)
 
@@ -91,7 +96,6 @@ def _cmd_quantize(args) -> int:
     wall_ms = (time.perf_counter() - start) * 1e3
     algorithm = args.algo + ("" if reduce_delta is None else "+lll")
 
-    save_matrix_csv(args.out, v_mat)
     abs_bound = absolute_error_bound(rep.l_diag)
     gamma = relative_error_factor(rep.l_diag)
     # per-row guarantee, scaled to the alphabet and summed over m rows
@@ -110,7 +114,7 @@ def _cmd_quantize(args) -> int:
         v=v_mat[0].tolist() if m == 1 else None,
         V=v_mat.tolist() if m > 1 else None,
     )
-    _write_report(args, report)
+    _write_outputs(args, report, v_mat)
     print(f"quantized {m}x{n} with {algorithm}: error_l2={report.error_l2!r} "
           f"(bound {report.bound_abs_paper!r}), fragile={report.fragile_count} "
           f"-> {args.out}")
@@ -183,7 +187,7 @@ def _cmd_compare(args) -> int:
         v=None if args.random else ref.v.tolist(),
         agreement=all_agree,
     )
-    _write_report(args, report)
+    _write_outputs(args, report)
     print(f"agreement={all_agree} over {len(instances)} instance(s), "
           f"fragile={fragile_total}")
     return 0 if all_agree else 1
@@ -267,7 +271,7 @@ def _cmd_oracle(args) -> int:
         v=v.tolist(),
         oracle_error=exact.error_l2,
     )
-    _write_report(args, report)
+    _write_outputs(args, report)
 
     if ratio > gamma.gamma * (1 + 1e-12):
         print("error: approximation-factor guarantee violated", file=sys.stderr)

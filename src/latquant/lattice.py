@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .linalg import QLFactors, check_matrix, check_vector, ql_decompose
+from .linalg import QLFactors, check_matrix, check_vector, l2_norm, ql_decompose
 
 DEFAULT_TIE_TOL = 1e-9
 
@@ -265,9 +265,8 @@ def _diag_of(factors) -> np.ndarray:
 
 def absolute_error_bound(factors) -> AbsoluteBound:
     """Accepts QLFactors or the diag(L) profile directly."""
-    d = _diag_of(factors)
-    s = float(np.sum(d ** 2))
-    return AbsoluteBound(paper=math.sqrt(s), half_step=math.sqrt(s) / 2.0)
+    norm = float(l2_norm(_diag_of(factors)))
+    return AbsoluteBound(paper=norm, half_step=norm / 2.0)
 
 
 class GammaBound(NamedTuple):
@@ -281,12 +280,20 @@ class GammaBound(NamedTuple):
     loose: float
 
 
+def _suffix_ratios(d: np.ndarray) -> np.ndarray:
+    """(1/d_i^2) sum_{j>=i} d_j^2 for every i."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cumsum((d ** 2)[::-1])[::-1] / d ** 2
+
+
 def relative_error_factor(factors) -> GammaBound:
     """Accepts QLFactors or the diag(L) profile directly."""
     d = _diag_of(factors)
     n = d.size
-    suffix = np.cumsum((d ** 2)[::-1])[::-1]
-    gamma = math.sqrt(1.0 + float(np.max(suffix / d ** 2)))
+    ratios = _suffix_ratios(d)
+    if not np.isfinite(ratios).all():
+        ratios = _suffix_ratios(d / np.max(np.abs(d)))  # scale free; squares overflowed
+    gamma = math.sqrt(1.0 + float(np.max(ratios)))
     running_min = np.minimum.accumulate(d)
     loose = math.sqrt(max(n - 1, 0)) * float(np.max(d / running_min))
     return GammaBound(gamma=gamma, loose=loose)

@@ -96,6 +96,22 @@ def check_vector(v, length: int | None = None, name: str = "vector") -> np.ndarr
     return v
 
 
+def l2_norm(a, axis: int | None = None):
+    """sqrt(sum(a ** 2)) along axis.  Where that sum overflows, the values
+    are first divided by their largest magnitude, so a norm that float64
+    can hold stays finite; every other result keeps the plain sum's bits."""
+    a = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore"):
+        plain = np.sqrt(np.sum(a ** 2, axis=axis))
+    redo = ~np.isfinite(plain)
+    if not redo.any():
+        return plain
+    peak = np.max(np.abs(a), axis=axis, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rescaled = np.squeeze(peak, axis) * np.sqrt(np.sum((a / peak) ** 2, axis=axis))
+    return np.where(redo & np.isfinite(rescaled), rescaled, plain)
+
+
 @dataclass(eq=False)
 class QLFactors:
     """Factors of X = Q L.

@@ -4,6 +4,14 @@ Format: UTF-8, comma-separated fields, '.' decimal point, newline row
 separator, no ragged rows.  Serialization writes the shortest decimal
 string that parses back to the same double, so parse(serialize(m)) == m
 bitwise for every finite matrix.
+
+Parsing fills a preallocated array one line at a time, with Python's own
+float() on every field, and checks finiteness once at the end.  Only when
+that fails (a token float() refuses, a wrong field count or a non-finite
+value) does the per-field loop run again over the same lines, and only to
+raise ParseError or RaggedRows at the first bad line and field.  Both
+paths call float() on the same tokens, so they accept the same grammar
+and produce the same bits.
 """
 
 from __future__ import annotations
@@ -47,9 +55,31 @@ def parse_matrix_csv(text: bytes | str, expect_header: bool = False) -> np.ndarr
     if len(lines) <= start:
         raise ParseError(1, 1, "", "empty input")
 
+    body = lines[start:]
+    out = _parse_bulk(body)
+    return out if out is not None else _parse_fields(body, start + 1)
+
+
+def _parse_bulk(lines: list[str]) -> np.ndarray | None:
+    """The fast path: None when a line needs the per-field parser."""
+    ncols = len(lines[0].rstrip("\r").split(","))
+    out = np.empty((len(lines), ncols))
+    for i, line in enumerate(lines):
+        fields = line.rstrip("\r").split(",")
+        if len(fields) != ncols:
+            return None
+        try:
+            out[i] = np.fromiter(map(float, fields), float, count=ncols)
+        except ValueError:
+            return None
+    return out if np.isfinite(out).all() else None
+
+
+def _parse_fields(lines: list[str], first_lineno: int) -> np.ndarray:
+    """The per-field parser: raises at the first bad line and field."""
     rows: list[list[float]] = []
     ncols: int | None = None
-    for lineno0, line in enumerate(lines[start:], start=start + 1):
+    for lineno0, line in enumerate(lines, start=first_lineno):
         fields = line.rstrip("\r").split(",")
         if ncols is None:
             ncols = len(fields)
@@ -78,10 +108,10 @@ def serialize_matrix_csv(matrix: np.ndarray) -> str:
     if matrix.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
     if matrix.dtype.kind in "iu" or matrix.dtype == object:
-        fmt = lambda x: str(int(x))
+        rows = (map(str, map(int, row)) for row in matrix.tolist())
     else:
-        fmt = lambda x: repr(float(x))
-    return "".join(",".join(fmt(x) for x in row) + "\n" for row in matrix)
+        rows = (map(repr, row) for row in matrix.astype(float, copy=False).tolist())
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def load_matrix_csv(path, expect_header: bool = False) -> np.ndarray:

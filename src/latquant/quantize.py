@@ -51,6 +51,7 @@ from .linalg import (
     check_vector,
     gram_factor,
     invert_lower_triangular,
+    l2_norm,
     ql_decompose,
 )
 from .reduction import lll_reduce, map_solution
@@ -179,7 +180,8 @@ def solver_basis(x, mu: float | str, reduce_delta: float | None = None) -> Solve
     if reduce_delta is not None:
         reduced = lll_reduce(x_solver, reduce_delta)
         basis, u = reduced.basis_red, reduced.u
-    l = gram_factor(basis.T @ basis)
+    with np.errstate(over="ignore"):  # an overflowing Gram matrix fails the factorization
+        l = gram_factor(basis.T @ basis)
     if l is None:
         l = ql_decompose(basis).l
     return SolverBasis(x, x_solver, mu, basis, l, u)
@@ -240,8 +242,8 @@ def _row_errors(sb: SolverBasis, w: np.ndarray, v: np.ndarray, alpha: float):
     """alpha ||X (w - v)|| per row, against the original and the
     regularized X."""
     diff = (w - v).T
-    return (alpha * np.linalg.norm(sb.x @ diff, axis=0),
-            alpha * np.linalg.norm(sb.x_solver @ diff, axis=0))
+    return (alpha * l2_norm(sb.x @ diff, axis=0),
+            alpha * l2_norm(sb.x_solver @ diff, axis=0))
 
 
 def gptq_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
@@ -359,8 +361,8 @@ def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
     report = MatrixQuantReport(
         row_errors=row_err,
         row_errors_regularized=row_err_reg,
-        total_error_l2=float(np.sqrt(np.sum(row_err ** 2))),
-        total_error_regularized=float(np.sqrt(np.sum(row_err_reg ** 2))),
+        total_error_l2=float(l2_norm(row_err)),
+        total_error_regularized=float(l2_norm(row_err_reg)),
         fragile=[divmod(j, n) for j in fragile_indices(coeffs.ravel(), cfg.tie_tol)],
         step_coeffs=coeffs,
         mu=sb.mu,

@@ -65,19 +65,23 @@ def _lll_columns(b: np.ndarray, u: np.ndarray, delta: float) -> None:
             if q != 0:
                 b[:, k] -= q * b[:, j]
                 u[:, k] -= q * u[:, j]
-        proj = b[:, k].copy()
-        for j in range(k):
+        # b_k orthogonalized against g_0..g_{k-2}: if b_{k-1} and b_k swap,
+        # this is the new Gram-Schmidt vector k-1, and 0..k-2 stay as they are
+        head = b[:, k].copy()
+        for j in range(k - 1):
             gj = gs[:, j]
-            proj -= ((proj @ gj) / (gj @ gj)) * gj
+            head -= ((head @ gj) / (gj @ gj)) * gj
         gk1 = gs[:, k - 1]
+        proj = head - ((head @ gk1) / (gk1 @ gk1)) * gk1
         mu_kk1 = (b[:, k] @ gk1) / (gk1 @ gk1)
         if proj @ proj >= (delta - mu_kk1 ** 2) * (gk1 @ gk1):
             gs[:, k] = proj
             k += 1
         else:
+            # vector k is recomputed before it is read again
             b[:, [k - 1, k]] = b[:, [k, k - 1]]
             u[:, [k - 1, k]] = u[:, [k, k - 1]]
-            gs = _gram_schmidt(b)
+            gs[:, k - 1] = head
             k = max(k - 1, 1)
 
 

@@ -108,7 +108,7 @@ def render_json(value) -> str:
         items = ",".join(f"{json.dumps(str(k))}:{render_json(v)}" for k, v in value.items())
         return "{" + items + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ",".join(render_json(v) for v in value) + "]"
+        return "[" + _render_items(value) + "]"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -120,3 +120,14 @@ def render_json(value) -> str:
     if value is None:
         return "null"
     raise TypeError(f"cannot render {type(value)!r} as JSON")
+
+
+def _render_items(items) -> str:
+    """The comma-joined items of a list: in one join when all are exactly
+    float or all exactly int (which excludes bool), else one by one."""
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        return ",".join(map(_format_real, items))
+    if kinds == {int}:
+        return ",".join(map(str, items))
+    return ",".join(render_json(v) for v in items)

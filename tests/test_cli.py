@@ -165,13 +165,32 @@ class TestQuantize:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_overflowing_error_writes_no_report(self, workdir, capsys):
-        # the squared norms overflow, so error_l2 and the bounds read inf
-        calib = write(workdir / "X.csv", [[3e160, 5e160], [1e160, 2e160]])
-        weights = write(workdir / "W.csv", [[0.4, 0.7]])
-        assert main(["quantize", "--weights", weights, "--calib", calib]) == 2
+        # alpha = 1e300 on the README's X (scaled by 1e10): the true error,
+        # ~3.6e309, and the bound, ~5.4e310, exceed float64
+        calib = write(workdir / "X.csv", [[3e10, 5e10], [1e10, 2e10]])
+        weights = write(workdir / "W.csv", [[0.4e300, 0.7e300]])
+        assert main(["quantize", "--weights", weights, "--calib", calib,
+                     "--alpha", "1e300"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "non-finite" in err
         assert not (workdir / "report.json").exists()
+        assert not (workdir / "V.csv").exists()
+
+    def test_large_finite_data_has_finite_errors_and_bounds(self, workdir):
+        # the squares of ~1e160 overflow; the norms and bounds themselves do not
+        small = write(workdir / "X1.csv", [[3.0, 5.0], [1.0, 2.0]])
+        calib = write(workdir / "X.csv", [[3e160, 5e160], [1e160, 2e160]])
+        weights = write(workdir / "W.csv", [[0.4, 0.7]])
+        assert main(["quantize", "--weights", weights, "--calib", small,
+                     "--report", "small.json", "--out", "V1.csv"]) == 0
+        assert main(["quantize", "--weights", weights, "--calib", calib]) == 0
+        data, _ = read_report(workdir / "report.json")
+        ref, _ = read_report(workdir / "small.json")
+        assert data["v"] == ref["v"]
+        for key in ("error_l2", "error_regularized", "bound_abs_paper", "bound_abs_halfstep"):
+            assert data[key] == pytest.approx(1e160 * ref[key], rel=1e-12)
+        assert data["bound_abs_paper"] == pytest.approx(1e160 * np.sqrt(29 + 1 / 29), rel=1e-12)
+        assert data["gamma_bound"] == pytest.approx(ref["gamma_bound"], rel=1e-12)
 
     def test_summary_prints_the_reported_bound(self, workdir, capsys):
         calib = write(workdir / "X.csv", [[3.0, 5.0], [1.0, 2.0]])

@@ -218,6 +218,17 @@ class TestBounds:
         gamma = relative_error_factor(LatticeBasis(np.array([[7.0], [1.0]])).factors)
         assert gamma.gamma == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_bounds_of_large_profiles_stay_finite(self, worked_basis, scale):
+        # the squares of the profile overflow; the bounds do not
+        diag = LatticeBasis(worked_basis).factors.diag
+        bound = absolute_error_bound(scale * diag)
+        assert bound.paper == pytest.approx(scale * np.sqrt(1.0 / 29.0 + 29.0), rel=1e-12)
+        assert bound.half_step == bound.paper / 2.0
+        gamma = relative_error_factor(scale * diag)
+        assert gamma.gamma == pytest.approx(np.sqrt(843.0), rel=1e-12)
+        assert gamma.loose == pytest.approx(relative_error_factor(diag).loose, rel=1e-12)
+
     @pytest.mark.parametrize("seed", range(30))
     def test_absolute_bound_holds(self, seed):
         rng = np.random.default_rng(seed)

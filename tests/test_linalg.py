@@ -11,6 +11,7 @@ from latquant.linalg import (
     cholesky_spd,
     gram_factor,
     invert_lower_triangular,
+    l2_norm,
     ql_decompose,
 )
 from latquant.quantize import solver_basis
@@ -261,3 +262,20 @@ class TestLeastSquares:
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient):
             least_squares_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+
+
+class TestL2Norm:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_plain_sum_bits_kept(self, seed):
+        a = np.random.default_rng(seed).standard_normal((40, 7))
+        assert np.array_equal(l2_norm(a, axis=0), np.sqrt(np.sum(a ** 2, axis=0)))
+        assert l2_norm(a[:, 0]) == np.sqrt(np.sum(a[:, 0] ** 2))
+
+    def test_overflowing_squares_rescaled(self):
+        a = np.array([[3e200, 3.0], [4e200, 4.0]])
+        np.testing.assert_allclose(l2_norm(a, axis=0), [5e200, 5.0], rtol=1e-15)
+        assert l2_norm(a, axis=0)[1] == 5.0
+        assert l2_norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
+
+    def test_a_norm_beyond_float64_is_inf(self):
+        assert l2_norm(np.array([1.5e308, 1.5e308])) == np.inf

@@ -3,7 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from latquant.lattice import LatticeBasis, babai_from_target, babai_nearest_plane
+from latquant import reduction
+from latquant.lattice import (
+    LatticeBasis,
+    babai_from_target,
+    babai_nearest_plane,
+    round_half_even,
+)
 from latquant.linalg import ql_decompose
 from latquant.reduction import (
     IntegerOverflow,
@@ -85,6 +91,66 @@ class TestLllReduce:
     def test_accepts_lattice_basis(self, worked_basis):
         red = lll_reduce(LatticeBasis(worked_basis))
         assert red.basis_red.shape == (2, 2)
+
+
+def _lll_columns_full_redo(b, u, delta):
+    """Reference LLL loop that redoes the whole Gram-Schmidt basis after
+    every swap."""
+    n = b.shape[1]
+    gs = reduction._gram_schmidt(b)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            gj = gs[:, j]
+            q = round_half_even((b[:, k] @ gj) / (gj @ gj))
+            if q != 0:
+                b[:, k] -= q * b[:, j]
+                u[:, k] -= q * u[:, j]
+        proj = b[:, k].copy()
+        for j in range(k):
+            gj = gs[:, j]
+            proj -= ((proj @ gj) / (gj @ gj)) * gj
+        gk1 = gs[:, k - 1]
+        mu_kk1 = (b[:, k] @ gk1) / (gk1 @ gk1)
+        if proj @ proj >= (delta - mu_kk1 ** 2) * (gk1 @ gk1):
+            gs[:, k] = proj
+            k += 1
+        else:
+            b[:, [k - 1, k]] = b[:, [k, k - 1]]
+            u[:, [k - 1, k]] = u[:, [k, k - 1]]
+            gs = reduction._gram_schmidt(b)
+            k = max(k - 1, 1)
+
+
+def equivalence_lattice(seed):
+    """n = 2..23; every third lattice has integer entries."""
+    rng = np.random.default_rng(30_000 + seed)
+    n = 2 + seed % 22
+    k = n + int(rng.integers(0, n + 1))
+    b = rng.uniform(-4.0, 4.0, (k, n))
+    return np.rint(b) if seed % 3 == 0 else b
+
+
+class TestSwapUpdate:
+    """The one-column Gram-Schmidt update after a swap reduces exactly as
+    a full redo does."""
+
+    @staticmethod
+    def assert_same_reduction(basis, delta, monkeypatch):
+        fast = lll_reduce(basis, delta)
+        with monkeypatch.context() as patch:
+            patch.setattr(reduction, "_lll_columns", _lll_columns_full_redo)
+            slow = lll_reduce(basis, delta)
+        assert np.array_equal(fast.basis_red.view(np.uint64), slow.basis_red.view(np.uint64))
+        assert fast.u.tolist() == slow.u.tolist()
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_seeded_lattices(self, seed, monkeypatch):
+        self.assert_same_reduction(equivalence_lattice(seed), 0.99, monkeypatch)
+
+    @pytest.mark.parametrize("delta", [0.5, 0.75, 0.99])
+    def test_worked_basis(self, worked_basis, delta, monkeypatch):
+        self.assert_same_reduction(worked_basis, delta, monkeypatch)
 
 
 class TestMapSolution:

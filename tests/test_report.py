@@ -82,3 +82,58 @@ class TestRenderJson:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             render_json(object())
+
+
+def render_one_by_one(value):
+    """render_json with every list rendered item by item."""
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(str(k))}:{render_one_by_one(v)}"
+                              for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ",".join(render_one_by_one(v) for v in value) + "]"
+    return render_json(value)
+
+
+def rendering(render, value):
+    try:
+        return render(value)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+_REALS = st.one_of(
+    st.floats(width=64),  # nan and inf included: both renderings must refuse them
+    st.sampled_from([-0.0, 0.0, 1e16, 1e16 + 2, 5e-324, -5e-324, 1.7976931348623157e308]),
+)
+_INTS = st.one_of(st.integers(), st.sampled_from([2 ** 63, -(2 ** 63) - 1, 10 ** 30]))
+_ITEMS = st.one_of(
+    _REALS, _INTS, st.booleans(),
+    _REALS.map(np.float64), st.integers(-(2 ** 63), 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+class TestBulkRender:
+    """Lists of exactly float or exactly int render in one join; the text
+    must be what rendering item by item gives."""
+
+    @given(st.one_of(st.lists(_REALS), st.lists(_INTS), st.lists(st.booleans()),
+                     st.lists(_ITEMS), st.lists(st.lists(_INTS), max_size=3)))
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_matches_item_by_item(self, items):
+        assert rendering(render_json, items) == rendering(render_one_by_one, items)
+        record = {"step_coeffs": items, "n": 2}
+        assert rendering(render_json, record) == rendering(render_one_by_one, record)
+
+    @pytest.mark.parametrize("items", [
+        [], [-0.0, 1e16, 5e-324], [2 ** 64, -(2 ** 70), 0], [True, False],
+        [1, True], [1, 2.0], [np.float64(0.5), 0.25], [np.int64(3), 4],
+        [np.bool_(True)], (1.5, 2.5),
+    ])
+    def test_worked_cases(self, items):
+        assert render_json(items) == render_one_by_one(items)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_items(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            render_json([0.5, float(bad), 1.5])
