@@ -22,7 +22,7 @@ from .lattice import (
     relative_error_factor,
     solve_cvp_exact,
 )
-from .linalg import NotPositiveDefinite, RankDeficient, ql_decompose
+from .linalg import NotPositiveDefinite, RankDeficient, l2_norm, ql_decompose
 from .matio import ParseError, RaggedRows, load_matrix_csv, save_matrix_csv
 from .quantize import QuantConfig, quantize_matrix, scaled_quantize, solver_basis
 from .reduction import DEFAULT_DELTA, lll_reduce, map_solution
@@ -251,7 +251,7 @@ def _cmd_oracle(args) -> int:
         ratio = 1.0 if babai.error_l2 == 0 else float("inf")
 
     v = babai.v if sb.u is None else map_solution(sb.u, babai.v)
-    error_vs_original = float(np.linalg.norm(t - x @ v))
+    error_vs_original = float(l2_norm(t - x @ v))
     print(f"optimum_error = {exact.error_l2!r}")
     print(f"babai_error   = {babai.error_l2!r}")
     print(f"ratio         = {ratio!r}")

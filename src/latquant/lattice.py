@@ -15,9 +15,16 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .linalg import QLFactors, check_matrix, check_vector, l2_norm, ql_decompose
+from .linalg import (
+    QLFactors,
+    check_matrix,
+    check_vector,
+    l2_norm,
+    power_of_two_scale,
+    ql_decompose,
+    solve_lower,
+)
 
 DEFAULT_TIE_TOL = 1e-9
 
@@ -149,7 +156,7 @@ def babai_from_target(basis: LatticeBasis, t,
     return CvpSolution(
         v=v,
         residual=residual,
-        error_l2=float(np.linalg.norm(residual)),
+        error_l2=float(l2_norm(residual)),
         step_coeffs=coeffs,
         fragile=fragile_indices(coeffs, tie_tol),
     )
@@ -195,32 +202,40 @@ def brute_force_cvp(basis: LatticeBasis, t, radius: int = 2,
     t = check_vector(t, basis.k, "t")
 
     f = basis.factors
-    c_real = solve_triangular(f.l, f.q.T @ t, lower=True)
-    center = np.rint(c_real).astype(np.int64)
+    c_real = solve_lower(f.l, f.q.T @ t)
+    center = rows_to_int64(np.rint(c_real))
     b = basis.basis
+    # Distances are compared on b and t divided by a power of two near
+    # their largest magnitude: every comparison and tie-break of in-range
+    # data is the unscaled one, and the squared distances of large data
+    # cannot overflow.
+    scale = power_of_two_scale(b, t)
+    b_s, t_s = b / scale, t / scale
 
     best_err2 = math.inf
     best_v: np.ndarray | None = None
     for block in _candidate_blocks(n, radius):
         cand = center[None, :] + block
-        diff = t[None, :] - cand @ b.T
+        diff = t_s[None, :] - cand @ b_s.T
         err2 = np.einsum("ij,ij->i", diff, diff)
         i = int(np.argmin(err2))  # first occurrence: lexicographic tie-break
         if err2[i] < best_err2:
             best_err2 = float(err2[i])
             best_v = cand[i].copy()
-    assert best_v is not None
+    if best_v is None:
+        raise ValueError("no candidate in the search box is at a finite distance "
+                         "from the target")
 
     residual = t - b @ best_v
-    err = float(np.linalg.norm(residual))
+    err = float(l2_norm(residual))
     boundary_hit = bool(np.any(np.abs(best_v - center) == radius))
 
     # Certificate: the error splits into the fixed off-span part plus the
     # in-span distance ||B(c_real - v)||; outside the box that distance is
-    # at least sigma_min * (radius + 0.5).
-    rho = t - b @ c_real
+    # at least sigma_min * (radius + 0.5).  Compared in the scaled units.
+    rho = t_s - b_s @ c_real
     in_span2 = max(best_err2 - float(rho @ rho), 0.0)
-    sigma_min = float(np.linalg.svd(b, compute_uv=False)[-1])
+    sigma_min = float(np.linalg.svd(b, compute_uv=False)[-1]) / scale
     certified = in_span2 <= (sigma_min * (radius + 0.5)) ** 2
 
     return CvpSolution(

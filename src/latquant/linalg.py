@@ -10,6 +10,11 @@ matrix squares the condition number, so past GRAM_COND_MAX (and whenever
 the Cholesky factorization fails) L comes from the QL factorization
 X = Q L instead, which ql_decompose computes by Householder QR; the
 reference and oracle code, which also needs Q, always uses it.
+
+Everything here is numpy: the factorizations are np.linalg's, the
+triangular solves (solve_lower) are block substitution on matrix
+products, and the condition estimate that gates the Gram route is
+Hager's 1-norm estimator in Higham's form (ACM TOMS 14(4), 1988).
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dtrcon
 
 # Relative threshold on the diagonal of L below which input columns are
 # treated as dependent.  Scale-relative so badly scaled data behaves.
@@ -40,6 +43,13 @@ COND_WARN = 1e12
 # the default tie tolerance.  The estimate reads 1.5 to 10 times cond(X)
 # there (about 30 times at n = 256 to 512), so the gate errs towards QR.
 GRAM_COND_MAX = 1e3
+
+# Rows per diagonal block of solve_lower (a power of two): each block is
+# inverted once, so a solve costs one matrix product per block.
+SOLVE_BLOCK = 64
+
+# Iteration cap of the 1-norm estimator (Higham's ITMAX).
+_ESTIMATE_ITERATIONS = 5
 
 
 class RankDeficient(ValueError):
@@ -112,6 +122,16 @@ def l2_norm(a, axis: int | None = None):
     return np.where(redo & np.isfinite(rescaled), rescaled, plain)
 
 
+def power_of_two_scale(*arrays) -> float:
+    """A power of two near the largest magnitude in arrays: dividing by it
+    brings that magnitude into [1, 2) and, for data in the normal float64
+    range, changes no bits but the exponent, so products and sums of the
+    scaled data are the unscaled ones divided exactly, and cannot
+    overflow where the unscaled ones would."""
+    peak = max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
+    return math.ldexp(1.0, max(math.frexp(peak)[1] - 1, -1022))
+
+
 @dataclass(eq=False)
 class QLFactors:
     """Factors of X = Q L.
@@ -142,8 +162,23 @@ def ql_decompose(x, rank_tol: float = RANK_TOL) -> QLFactors:
     input bits.
 
     Raises RankDeficient when the smallest diagonal of L falls below
-    rank_tol times the largest (or when k < n).
+    rank_tol times the largest (or when k < n), and warns
+    IllConditionedWarning past COND_WARN.
     """
+    factors = _ql_factors(x, rank_tol)
+    # Q is orthonormal, so cond(X) == cond(L).
+    if _cond_estimate(factors.l) > COND_WARN:
+        warnings.warn(
+            f"input condition number exceeds {COND_WARN:.0e}; "
+            "consider a larger regularizer mu",
+            IllConditionedWarning,
+            stacklevel=2,
+        )
+    return factors
+
+
+def _ql_factors(x, rank_tol: float = RANK_TOL) -> QLFactors:
+    """ql_decompose without the conditioning estimate and warning."""
     x = check_matrix(x, "x")
     k, n = x.shape
     if k < n:
@@ -167,21 +202,117 @@ def ql_decompose(x, rank_tol: float = RANK_TOL) -> QLFactors:
         raise RankDeficient(0)
     if bad.size:
         raise RankDeficient(int(bad[0]))
-    # Q is orthonormal, so cond(X) == cond(L).
-    if _cond_estimate(l) > COND_WARN:
-        warnings.warn(
-            f"input condition number exceeds {COND_WARN:.0e}; "
-            "consider a larger regularizer mu",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
     return QLFactors(q=q, l=l)
 
 
+def _diagonal_block_inverses(l: np.ndarray) -> np.ndarray:
+    """Inverses of the diagonal blocks of lower-triangular l, SOLVE_BLOCK
+    rows each (one block of the next power of two >= n when n is smaller;
+    the last block is padded with the identity).
+
+    Runs the 2 x 2 block recursion [[A, 0], [C, D]]^-1 =
+    [[A^-1, 0], [-D^-1 C A^-1, D^-1]] from 1 x 1 blocks upwards, all
+    blocks of one size in one batched product, so a block costs
+    log2(SOLVE_BLOCK) steps of numpy calls, not one per row."""
+    n = l.shape[0]
+    block = min(SOLVE_BLOCK, 1 << (n - 1).bit_length())
+    order = -(-n // block) * block
+    padded = np.eye(order)
+    padded[:n, :n] = l
+    inv = (1.0 / np.diagonal(padded)).reshape(order, 1, 1)
+    s = 1
+    while s < block:
+        # C of every pair: the s x s blocks (2i + 1, 2i) of the padded l
+        odd = np.arange(1, order // s, 2)
+        c = padded.reshape(order // s, s, order // s, s)[odd, :, odd - 1, :]
+        a_inv, d_inv = inv[0::2], inv[1::2]
+        inv = np.zeros((order // (2 * s), 2 * s, 2 * s))
+        inv[:, :s, :s] = a_inv
+        inv[:, s:, s:] = d_inv
+        inv[:, s:, :s] = -((d_inv @ c) @ a_inv)
+        s *= 2
+    return inv
+
+
+def _substitute(l: np.ndarray, inverses: np.ndarray, b, trans: bool) -> np.ndarray:
+    """Block substitution for l x = b (l^T x = b when trans), given the
+    inverses of l's diagonal blocks."""
+    n = l.shape[0]
+    block = inverses.shape[1]
+    if n <= block:
+        l_inv = inverses[0, :n, :n]
+        return l_inv.T @ b if trans else l_inv @ b
+    x = np.array(b, dtype=float)
+    starts = range(0, n, block)
+    for j in reversed(starts) if trans else starts:
+        e = min(j + block, n)
+        d_inv = inverses[j // block, : e - j, : e - j]
+        if trans:
+            if e < n:
+                x[j:e] -= l[e:, j:e].T @ x[e:]
+            x[j:e] = d_inv.T @ x[j:e]
+        else:
+            if j:
+                x[j:e] -= l[j:e, :j] @ x[:j]
+            x[j:e] = d_inv @ x[j:e]
+    return x
+
+
+def solve_lower(l, b, trans: bool = False) -> np.ndarray:
+    """Solve l x = b, or l^T x = b when trans, for lower-triangular l with
+    nonzero diagonal; b is a vector of length n or an n x m matrix.
+
+    Block forward (backward) substitution: each SOLVE_BLOCK-row block of x
+    takes one product with the already-solved rows and one with the
+    inverse of its diagonal block."""
+    l = np.asarray(l, dtype=float)
+    return _substitute(l, _diagonal_block_inverses(l), b, trans)
+
+
+def _inverse_norm1_estimate(solve, solve_t, n: int) -> float:
+    """Lower estimate of ||A^-1||_1 from at most eleven products with
+    A^-1 and A^-T (solve and solve_t): Hager's estimator in Higham's form
+    (ACM TOMS 14(4), 1988), step for step as LAPACK's dlacn2 takes it, so
+    a gate set on LAPACK's estimate reads the same value."""
+    x = solve(np.full(n, 1.0 / n))
+    if n == 1:
+        return abs(float(x[0]))
+    est = float(np.abs(x).sum())
+    signs = np.where(x >= 0, 1.0, -1.0)
+    j = int(np.abs(solve_t(signs)).argmax())
+    for _ in range(_ESTIMATE_ITERATIONS - 1):
+        x = solve(np.eye(1, n, j)[0])
+        est_old, est = est, float(np.abs(x).sum())
+        new_signs = np.where(x >= 0, 1.0, -1.0)
+        if (new_signs == signs).all() or est <= est_old:
+            break  # a repeated sign vector, or cycling
+        signs = new_signs
+        x = solve_t(signs)
+        j_last, j = j, int(np.abs(x).argmax())
+        if x[j_last] == abs(x[j]):
+            break
+    # a last trial vector of alternating signs and growing magnitude
+    alt = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    temp = 2.0 * (float(np.abs(solve(alt)).sum()) / (3 * n))
+    return max(est, temp)
+
+
 def _cond_estimate(l: np.ndarray) -> float:
-    """1-norm condition number of lower-triangular l as estimated by
-    LAPACK trcon in O(n^2); inf when l is singular or not finite."""
-    rcond, _ = dtrcon(l, norm="1", uplo="L")
+    """Estimate of the 1-norm condition number ||L||_1 ||L^-1||_1 of
+    lower-triangular l: the exact ||L||_1 times the lower estimate of
+    ||L^-1||_1 from _inverse_norm1_estimate, O(n^2) once the diagonal
+    blocks of l are inverted.  GRAM_COND_MAX and COND_WARN are set on
+    this estimate, a lower bound of the exact product.  inf when l is
+    singular or not finite, or the estimate overflows."""
+    if not np.all(np.isfinite(l)) or np.any(np.diagonal(l) == 0.0):
+        return math.inf
+    norm = float(np.abs(l).sum(axis=0).max())  # l has zeros above the diagonal
+    with np.errstate(over="ignore", invalid="ignore"):
+        inverses = _diagonal_block_inverses(l)
+        inv_norm = _inverse_norm1_estimate(
+            lambda b: _substitute(l, inverses, b, False),
+            lambda b: _substitute(l, inverses, b, True), l.shape[0])
+        rcond = (1.0 / norm) / inv_norm  # in LAPACK's order, for its bits
     return 1.0 / rcond if rcond > 0 else math.inf
 
 
@@ -194,8 +325,9 @@ def gram_factor(h) -> np.ndarray | None:
     fails or L's estimated condition number exceeds GRAM_COND_MAX: there
     the squared conditioning of h costs too many digits, and the caller
     should factor X itself."""
-    c, info = dpotrf(np.asarray(h, dtype=float)[::-1, ::-1], lower=1, clean=1)
-    if info != 0:
+    try:
+        c = np.linalg.cholesky(np.asarray(h, dtype=float)[::-1, ::-1])
+    except np.linalg.LinAlgError:
         return None
     l = np.ascontiguousarray(c.T[::-1, ::-1])
     if _cond_estimate(l) > GRAM_COND_MAX:
@@ -220,8 +352,7 @@ def invert_lower_triangular(l) -> np.ndarray:
     bad = np.flatnonzero(np.abs(d) <= tol)
     if bad.size:
         raise SingularDiagonal(int(bad[0]))
-    inv = solve_triangular(l, np.eye(n), lower=True)
-    return np.tril(inv)
+    return np.tril(solve_lower(l, np.eye(n)))
 
 
 def cholesky_spd(a, sym_tol: float = SYM_TOL) -> np.ndarray:

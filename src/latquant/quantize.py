@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .lattice import (
     DEFAULT_TIE_TOL,
@@ -47,12 +46,15 @@ from .lattice import (
     rows_to_int64,
 )
 from .linalg import (
+    _ql_factors,
     check_matrix,
     check_vector,
     gram_factor,
     invert_lower_triangular,
     l2_norm,
+    power_of_two_scale,
     ql_decompose,
+    solve_lower,
 )
 from .reduction import lll_reduce, map_solution
 
@@ -217,13 +219,15 @@ def _recursive_rows(basis: np.ndarray, w: np.ndarray, variant: str):
     gptq_rec rounds w_1 directly; babai_proj_rec rounds the data-space
     coefficient <X w, Q_1>/L_11 (the same real number, by a telescoping
     identity).  Both then move w along column 1 of L^-1 and drop the
-    first coordinate."""
+    first coordinate.  The conditioning of basis has been checked where
+    it was factored, and a column suffix is no worse conditioned, so the
+    levels factor without the estimate."""
     v = np.empty(w.shape)
     coeffs = np.empty(w.shape)
     for r, w_cur in enumerate(np.asarray(w, dtype=float)):
         x_cur = basis
         for i in range(w.shape[1]):
-            factors = ql_decompose(x_cur)
+            factors = _ql_factors(x_cur)
             if variant == "gptq_rec":
                 c = float(w_cur[0])
             else:
@@ -342,9 +346,10 @@ def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
     w_scaled = weights / cfg.alpha
     w_basis = w_scaled
     if sb.u is not None:
-        p = solve_triangular(l, (sb.basis.T @ sb.x_solver) @ w_scaled.T,
-                             lower=True, trans="T")
-        w_basis = solve_triangular(l, p, lower=True).T
+        # the pull-back as one n x n matrix, then one product per row, which
+        # keeps each row's bits independent of m
+        pull = solve_lower(l, solve_lower(l, sb.basis.T @ sb.x_solver, trans=True))
+        w_basis = np.array([pull @ w for w in w_scaled])
     if cfg.algorithm == "gptq":
         v, coeffs = _gptq_rows(invert_lower_triangular(l), w_basis)
     elif cfg.algorithm == "babai":
@@ -413,9 +418,12 @@ def cross_layer_target(x, x_hat, w, cfg: QuantConfig = QuantConfig()) -> CrossLa
 
     t = x @ w
     t_emb = np.concatenate([t / cfg.alpha, np.zeros(sb.x_solver.shape[0] - t.size)])
-    # Q^T t_emb = L^-T x_solver^T t_emb, and t_emb is zero on the mu * I rows
-    p = solve_triangular(l, x_hat.T @ t, lower=True, trans="T") / cfg.alpha
-    w_hat = solve_triangular(l, p, lower=True)
+    # Q^T t_emb = L^-T x_solver^T t_emb, and t_emb is zero on the mu * I
+    # rows; t enters scaled by a power of two, so x_hat^T t of large data
+    # does not overflow
+    scale = power_of_two_scale(t)
+    p = solve_lower(l, x_hat.T @ (t / scale), trans=True) * scale / cfg.alpha
+    w_hat = solve_lower(l, p)
     (v_b,), (coeffs_b,) = nearest_plane_rows(l, p[None, :])
     (v_g,), (coeffs_g,) = _gptq_rows(invert_lower_triangular(l), w_hat[None, :])
 
@@ -428,8 +436,8 @@ def cross_layer_target(x, x_hat, w, cfg: QuantConfig = QuantConfig()) -> CrossLa
     if cfg.clamp is not None:
         v = np.clip(v, *cfg.clamp)
     values = cfg.alpha * v.astype(float)
-    err = float(np.linalg.norm(t - x_hat @ values))
-    err_reg = cfg.alpha * float(np.linalg.norm(t_emb - sb.x_solver @ v))
+    err = float(l2_norm(t - x_hat @ values))
+    err_reg = cfg.alpha * float(l2_norm(t_emb - sb.x_solver @ v))
     projected = x_hat @ (cfg.alpha * w_hat)
     result = QuantResult(
         v=v,
@@ -444,6 +452,6 @@ def cross_layer_target(x, x_hat, w, cfg: QuantConfig = QuantConfig()) -> CrossLa
         w_hat=w_hat,
         v_gptq_route=v_g,
         routes_agree=routes_agree,
-        off_span_residual=float(np.linalg.norm(t - projected)),
-        projected_error=float(np.linalg.norm(projected - x_hat @ values)),
+        off_span_residual=float(l2_norm(t - projected)),
+        projected_error=float(l2_norm(projected - x_hat @ values)),
     )

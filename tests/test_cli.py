@@ -342,6 +342,27 @@ class TestOracle:
         weights = write(workdir / "W.csv", [[-1.2, 0.8]])
         assert main(["oracle", "--calib", calib, "--weights", weights]) == 0
 
+    def test_large_finite_data(self, workdir, capsys):
+        # every squared distance of ~1e160 data overflows; the search compares
+        # them scaled, and the optimum is the unscaled one times 1e160
+        small = write(workdir / "X1.csv", [[3.0, 5.0], [1.0, 2.0]])
+        calib = write(workdir / "X.csv", [[3e160, 5e160], [1e160, 2e160]])
+        weights = write(workdir / "W.csv", [[0.4, 0.7]])
+        assert main(["oracle", "--calib", small, "--weights", weights]) == 0
+        ref = float(re.search(r"optimum_error\s*=\s*([-0-9.eE+]+)", capsys.readouterr().out)
+                    .group(1))
+        assert main(["oracle", "--calib", calib, "--weights", weights,
+                     "--report", "r.json"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        opt = float(re.search(r"optimum_error\s*=\s*([-0-9.eE+]+)", captured.out).group(1))
+        ratio = float(re.search(r"ratio\s*=\s*([-0-9.eE+]+)", captured.out).group(1))
+        gamma = float(re.search(r"gamma_bound\s*=\s*([-0-9.eE+]+)", captured.out).group(1))
+        assert np.isfinite(opt) and opt == pytest.approx(1e160 * ref, rel=1e-12)
+        assert ratio <= gamma
+        data, _ = read_report(workdir / "r.json")
+        assert np.isfinite(data["error_l2"]) and data["oracle_error"] == opt
+
     def test_dimension_guard_exits_2(self, workdir, capsys):
         calib = write(workdir / "X.csv", np.eye(9))
         target = write(workdir / "T.csv", [np.zeros(9)])

@@ -151,6 +151,30 @@ class TestBruteForce:
         np.testing.assert_array_equal(sol.v, v0)
         assert sol.error_l2 <= 1e-12
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_power_of_two_rescaling_changes_nothing_but_the_scale(self, seed):
+        # distances are compared in scaled units, so optimum, tie-break and
+        # certificate do not depend on the data's exponent, even where the
+        # unscaled squared distances overflow
+        rng = np.random.default_rng(seed)
+        b = rng.integers(-3, 4, (5, 3)).astype(float) + np.eye(5, 3)
+        t = rng.integers(-6, 7, 5) / 2.0
+        ref = brute_force_cvp(LatticeBasis(b), t)
+        for scale in (2.0 ** -60, 2.0 ** 40, 2.0 ** 600):
+            sol = brute_force_cvp(LatticeBasis(scale * b), scale * t)
+            np.testing.assert_array_equal(sol.v, ref.v)
+            assert (sol.boundary_hit, sol.certified) == (ref.boundary_hit, ref.certified)
+            assert sol.error_l2 == pytest.approx(scale * ref.error_l2, rel=1e-15)
+
+    def test_large_finite_data(self, worked_basis):
+        t = np.array([0.4, 0.4])
+        ref = brute_force_cvp(LatticeBasis(worked_basis), t, radius=3)
+        sol = brute_force_cvp(LatticeBasis(1e160 * worked_basis), 1e160 * t, radius=3)
+        np.testing.assert_array_equal(sol.v, ref.v)
+        assert sol.error_l2 == pytest.approx(1e160 * ref.error_l2, rel=1e-12)
+        assert babai_from_target(LatticeBasis(1e160 * worked_basis), 1e160 * t).error_l2 \
+            == pytest.approx(1e160 * np.sqrt(2.92), rel=1e-12)
+
     def test_dimension_guard(self):
         basis = LatticeBasis(np.eye(9))
         with pytest.raises(DimensionTooLarge):

@@ -1,18 +1,27 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrcon
+from test_quantize import conditioned_instance
 
 from latquant.linalg import (
+    COND_WARN,
     GRAM_COND_MAX,
+    SOLVE_BLOCK,
     IllConditionedWarning,
     NotPositiveDefinite,
     RankDeficient,
     SingularDiagonal,
+    _cond_estimate,
     cholesky_spd,
     gram_factor,
     invert_lower_triangular,
     l2_norm,
+    power_of_two_scale,
     ql_decompose,
+    solve_lower,
 )
 from latquant.quantize import solver_basis
 
@@ -279,3 +288,146 @@ class TestL2Norm:
 
     def test_a_norm_beyond_float64_is_inf(self):
         assert l2_norm(np.array([1.5e308, 1.5e308])) == np.inf
+
+
+def lower_factor(x):
+    """L with L^T L = x^T x from a Householder QR of the column-reversed
+    x (the factor of ql_decompose, without its checks and warning)."""
+    r = np.linalg.qr(x[:, ::-1], mode="r")[::-1, ::-1]
+    return np.tril(r * np.sign(np.diag(r))[:, None])
+
+
+def seeded_lower_factor(seed: int) -> np.ndarray:
+    """n = 1-128, with cond(L) log-uniform in 1 - 1e13."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 129))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return lower_factor(np.logspace(0, -rng.uniform(0, 13), n)[:, None] * v.T)
+
+
+def trcon_estimate(l):
+    """1 / rcond from LAPACK's dtrcon, the estimate _cond_estimate ports."""
+    rcond, info = dtrcon(l, norm="1", uplo="L")
+    assert info == 0
+    return 1.0 / rcond if rcond > 0 else math.inf
+
+
+def gram_cholesky_factor(n: int, seed: int) -> np.ndarray:
+    x = np.random.default_rng(seed).standard_normal((2 * n + 8, n))
+    return gram_factor(x.T @ x)
+
+
+def relative_gap(got, want) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestAgainstScipy:
+    """The numpy kernels against scipy's LAPACK wrappers, the routines they
+    replace: potrf, trcon and solve_triangular."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gram_factor_is_the_potrf_factor(self, seed):
+        # np.linalg and scipy may link different OpenBLAS builds, which can
+        # round the last bit of a few entries differently
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 301))
+        x = rng.standard_normal((2 * n + 8, n))
+        h = x.T @ x
+        c, info = dpotrf(h[::-1, ::-1], lower=1, clean=1)
+        assert info == 0
+        assert relative_gap(gram_factor(h), c.T[::-1, ::-1]) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40, SOLVE_BLOCK - 1, SOLVE_BLOCK,
+                                   SOLVE_BLOCK + 1, 2 * SOLVE_BLOCK + 3, 300])
+    def test_solve_lower_matches_solve_triangular(self, n):
+        l = gram_cholesky_factor(n, n)
+        rng = np.random.default_rng(n)
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 5))):
+            for trans in (False, True):
+                want = solve_triangular(l, b, lower=True, trans="T" if trans else "N")
+                got = solve_lower(l, b, trans=trans)
+                assert got.shape == want.shape
+                assert relative_gap(got, want) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 5, SOLVE_BLOCK, SOLVE_BLOCK + 1, 200])
+    def test_inverse_matches_solve_triangular(self, n):
+        l = gram_cholesky_factor(n, 100 + n)
+        want = solve_triangular(l, np.eye(n), lower=True)
+        inv = invert_lower_triangular(l)
+        assert relative_gap(inv, want) <= 1e-13
+        assert np.all(np.triu(inv, 1) == 0.0)
+
+    @pytest.mark.parametrize("decade", range(13))
+    def test_estimate_on_the_gate_sweep(self, decade):
+        # the QR factor and, where it exists, the Cholesky factor of every
+        # instance TestGramRoute::test_agreement_sweep runs
+        for seed in range(20):
+            x, _ = conditioned_instance(1000 * decade + seed, decade)
+            factors = [lower_factor(x)]
+            c, info = dpotrf((x.T @ x)[::-1, ::-1], lower=1, clean=1)
+            if info == 0:
+                factors.append(np.ascontiguousarray(c.T[::-1, ::-1]))
+            for l in factors:
+                got, want = _cond_estimate(l), trcon_estimate(l)
+                assert (got > GRAM_COND_MAX) == (want > GRAM_COND_MAX)
+                assert (got > COND_WARN) == (want > COND_WARN)
+                assert got == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("start", range(0, 200, 20))
+    def test_estimate_on_seeded_factors(self, start):
+        for seed in range(start, start + 20):
+            l = seeded_lower_factor(seed)
+            got, want = _cond_estimate(l), trcon_estimate(l)
+            assert (got > GRAM_COND_MAX) == (want > GRAM_COND_MAX)
+            assert (got > COND_WARN) == (want > COND_WARN)
+            assert got == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("kind", ["signs", "integers"])
+    def test_estimate_on_small_integer_factors(self, kind):
+        # on 7 of each 200 the last, alternating-sign trial vector of the
+        # estimator sets the estimate.  The 1e-3 perturbation breaks the
+        # exact ties in |L^-1 x| of integer entries, where the last bit of
+        # a solve would pick the index and so the path.
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 12))
+            if kind == "signs":
+                l = np.tril(rng.choice([-1.0, 1.0], (n, n)), -1) + np.eye(n)
+            else:
+                l = (np.tril(rng.integers(-3, 4, (n, n)), -1)
+                     + np.diag(rng.integers(1, 4, n))).astype(float)
+            l += np.tril(rng.uniform(-1e-3, 1e-3, (n, n)))
+            assert _cond_estimate(l) == pytest.approx(trcon_estimate(l), rel=1e-8)
+
+
+class TestSolveLower:
+    def test_diagonal_is_exact(self):
+        l = np.diag([2.0, 4.0, 0.5])
+        b = np.array([[1.0, 3.0], [2.0, 6.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(solve_lower(l, b), b / np.diag(l)[:, None])
+        np.testing.assert_array_equal(solve_lower(l, b, trans=True), b / np.diag(l)[:, None])
+
+
+class TestCondEstimate:
+    def test_diagonal_is_the_entry_ratio(self):
+        assert _cond_estimate(np.diag([1.0, 1e-2, 10.0])) == pytest.approx(1e3, rel=1e-15)
+
+    @pytest.mark.parametrize("l", [
+        np.diag([1.0, 0.0]),
+        np.diag([1.0, np.inf]),
+        np.array([[1.0, 0.0], [np.nan, 1.0]]),
+        np.diag([1.0, 1e-300, 1e-300]) + np.tril(np.full((3, 3), 1e300), -1),
+    ])
+    def test_singular_non_finite_or_overflowing_is_inf(self, l):
+        assert _cond_estimate(l) == math.inf
+
+
+class TestPowerOfTwoScale:
+    def test_brings_the_peak_into_one_to_two(self):
+        for peak in (1e-300, 3e-5, 1.0, 1.5, 2.0, 7e160, 1.7e308):
+            scale = power_of_two_scale(np.array([peak / 3, -peak]), np.zeros(2))
+            assert math.frexp(scale)[0] == 0.5  # a power of two
+            assert 1.0 <= peak / scale < 2.0
+
+    def test_zero_data(self):
+        assert power_of_two_scale(np.zeros(3)) == 0.5

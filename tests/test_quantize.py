@@ -312,6 +312,20 @@ class TestQuantizeMatrix:
             rep.step_coeffs, np.vstack([r[1].step_coeffs for r in rows])
         )
 
+    @pytest.mark.parametrize("algorithm", ["gptq", "babai"])
+    def test_reduced_batch_matches_stacked_single_rows(self, algorithm):
+        # the same on an LLL-reduced basis, where each row is pulled back
+        rng = np.random.default_rng(53)
+        x = rng.uniform(-1.0, 1.0, (12, 6)) @ rng.uniform(-1.0, 1.0, (6, 6))
+        weights = rng.uniform(-2.0, 2.0, (16, 6))
+        cfg = QuantConfig(mu=0.1, alpha=0.3, algorithm=algorithm)
+        v, rep = quantize_matrix(weights, x, cfg, reduce_delta=0.99)
+        rows = [quantize_matrix(w[None, :], x, cfg, reduce_delta=0.99) for w in weights]
+        np.testing.assert_array_equal(v, np.vstack([r[0] for r in rows]))
+        np.testing.assert_array_equal(
+            rep.step_coeffs, np.vstack([r[1].step_coeffs for r in rows])
+        )
+
     def test_overflow_is_an_error_not_a_wrapped_value(self):
         x = np.array([[3.0, 5.0], [1.0, 2.0]])
         for algorithm in ALGORITHMS:
@@ -356,6 +370,20 @@ class TestCrossLayer:
         w = rng.uniform(-2.0, 2.0, 4)
         out = cross_layer_target(x, x_hat, w, QuantConfig(mu=0.3))
         assert out.routes_agree
+
+    def test_large_finite_data_stays_finite(self):
+        # x_hat^T t and the squared norms of ~1e160 data overflow; the
+        # coordinates and the norms themselves do not
+        x = np.array([[3.0, 5.0], [1.0, 2.0]])
+        w = np.array([0.4, 0.7])
+        small, large = cross_layer_target(x, x, w), cross_layer_target(1e160 * x, 1e160 * x, w)
+        np.testing.assert_array_equal(large.result.v, small.result.v)
+        for got, want in ((large.result.error_l2, small.result.error_l2),
+                          (large.projected_error, small.projected_error)):
+            assert got == pytest.approx(1e160 * want, rel=1e-12)
+        assert np.isfinite(large.off_span_residual)
+        assert large.off_span_residual <= 1e-10 * large.result.error_l2
+        assert large.routes_agree
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes differ"):
