@@ -364,8 +364,12 @@ def main(argv=None) -> int:
         print(f"error: bad CSV input: {exc}", file=sys.stderr)
         return 2
     except (RankDeficient, NotPositiveDefinite) as exc:
-        print(f"error: {exc}\nhint: pass --mu > 0 (or --mu auto) to regularize "
-              "the calibration matrix", file=sys.stderr)
+        if hasattr(args, "mu"):
+            print(f"error: {exc}\nhint: pass --mu > 0 (or --mu auto) to regularize "
+                  "the calibration matrix", file=sys.stderr)
+        else:
+            print("error: the calibration columns are linearly dependent; LLL "
+                  "reduction needs linearly independent columns", file=sys.stderr)
         return 3
     except DimensionTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)

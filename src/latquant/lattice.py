@@ -23,7 +23,6 @@ from .linalg import (
     l2_norm,
     power_of_two_scale,
     ql_decompose,
-    solve_lower,
 )
 
 DEFAULT_TIE_TOL = 1e-9
@@ -202,7 +201,7 @@ def brute_force_cvp(basis: LatticeBasis, t, radius: int = 2,
     t = check_vector(t, basis.k, "t")
 
     f = basis.factors
-    c_real = solve_lower(f.l, f.q.T @ t)
+    c_real = f.l_inv @ (f.q.T @ t)
     center = rows_to_int64(np.rint(c_real))
     b = basis.basis
     # Distances are compared on b and t divided by a power of two near

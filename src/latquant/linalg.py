@@ -4,17 +4,18 @@ Matrices are plain 2-D float64 numpy arrays.  The central object is the
 lower-triangular L with positive diagonal and L^T L = X^T X: the diagonal
 entries of L are the lengths of the Gram-Schmidt vectors taken from the
 last column backwards, and they drive both the solvers and the error
-bounds downstream.  The solvers need only L, so gram_factor takes it from
-a Cholesky factorization of the small n x n Gram matrix.  Forming that
-matrix squares the condition number, so past GRAM_COND_MAX (and whenever
-the Cholesky factorization fails) L comes from the QL factorization
-X = Q L instead, which ql_decompose computes by Householder QR; the
-reference and oracle code, which also needs Q, always uses it.
+bounds downstream.  The solvers need only L and L^-1, so gram_factor
+takes L from a Cholesky factorization of the small n x n Gram matrix and
+inverts it once.  Forming that matrix squares the condition number, so
+past GRAM_COND_MAX (and whenever the Cholesky factorization fails) L
+comes from the QL factorization X = Q L instead, which ql_decompose
+computes by Householder QR; the reference and oracle code, which also
+needs Q, always uses it.
 
-Everything here is numpy: the factorizations are np.linalg's, the
-triangular solves (solve_lower) are block substitution on matrix
-products, and the condition estimate that gates the Gram route is
-Hager's 1-norm estimator in Higham's form (ACM TOMS 14(4), 1988).
+Everything here is numpy: the factorizations are np.linalg's, and L^-1
+is block substitution on matrix products.  Every triangular solve
+downstream is a product with L^-1 or its transpose, and the 1-norm
+condition number that gates the Gram route is read exactly from it.
 """
 
 from __future__ import annotations
@@ -36,20 +37,18 @@ SYM_TOL = 1e-10
 # Condition-number trigger for the ill-conditioning warning.
 COND_WARN = 1e12
 
-# Largest estimated condition number of L that gram_factor accepts.  In a
+# Largest 1-norm condition number of L that gram_factor accepts.  In a
 # sweep over random 64 x 32 inputs X with weights in [-8, 8], the solver
 # coefficients from the Cholesky factor stayed within 1.3e-11 of the QR
 # factor's at cond(X) = 1e3 but drifted to 1e-9 at 1e4, past a tenth of
-# the default tie tolerance.  The estimate reads 1.5 to 10 times cond(X)
-# there (about 30 times at n = 256 to 512), so the gate errs towards QR.
+# the default tie tolerance.  The 1-norm condition number of L reads 4 to
+# 6.4 times the 2-norm cond(X) there (27 to 29 times at n = 256, 50 to 52
+# at n = 512), so the gate errs towards QR.
 GRAM_COND_MAX = 1e3
 
-# Rows per diagonal block of solve_lower (a power of two): each block is
-# inverted once, so a solve costs one matrix product per block.
+# Rows per diagonal block of the triangular inverse (a power of two): each
+# block is inverted once, and the rest costs one matrix product per block.
 SOLVE_BLOCK = 64
-
-# Iteration cap of the 1-norm estimator (Higham's ITMAX).
-_ESTIMATE_ITERATIONS = 5
 
 
 class RankDeficient(ValueError):
@@ -138,7 +137,8 @@ class QLFactors:
 
     q: k x n with orthonormal columns.
     l: n x n lower triangular with positive diagonal (exact zeros above).
-    l_inv is computed lazily on first access and cached.
+    l_inv is computed on first access (ql_decompose's condition check)
+    and cached.
     """
 
     q: np.ndarray
@@ -167,7 +167,7 @@ def ql_decompose(x, rank_tol: float = RANK_TOL) -> QLFactors:
     """
     factors = _ql_factors(x, rank_tol)
     # Q is orthonormal, so cond(X) == cond(L).
-    if _cond_estimate(factors.l) > COND_WARN:
+    if _cond_estimate(factors.l, factors.l_inv) > COND_WARN:
         warnings.warn(
             f"input condition number exceeds {COND_WARN:.0e}; "
             "consider a larger regularizer mu",
@@ -178,7 +178,7 @@ def ql_decompose(x, rank_tol: float = RANK_TOL) -> QLFactors:
 
 
 def _ql_factors(x, rank_tol: float = RANK_TOL) -> QLFactors:
-    """ql_decompose without the conditioning estimate and warning."""
+    """ql_decompose without the condition check and warning."""
     x = check_matrix(x, "x")
     k, n = x.shape
     if k < n:
@@ -234,105 +234,54 @@ def _diagonal_block_inverses(l: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _substitute(l: np.ndarray, inverses: np.ndarray, b, trans: bool) -> np.ndarray:
-    """Block substitution for l x = b (l^T x = b when trans), given the
-    inverses of l's diagonal blocks."""
+def _lower_inverse(l: np.ndarray) -> np.ndarray:
+    """The inverse of lower-triangular l with nonzero diagonal, by block
+    forward substitution on the identity: each SOLVE_BLOCK-row block takes
+    one product with the rows already solved and one with the inverse of
+    its diagonal block.  Entries that overflow come out inf or nan, which
+    _cond_estimate reads as an infinite condition number."""
     n = l.shape[0]
-    block = inverses.shape[1]
-    if n <= block:
-        l_inv = inverses[0, :n, :n]
-        return l_inv.T @ b if trans else l_inv @ b
-    x = np.array(b, dtype=float)
-    starts = range(0, n, block)
-    for j in reversed(starts) if trans else starts:
-        e = min(j + block, n)
-        d_inv = inverses[j // block, : e - j, : e - j]
-        if trans:
-            if e < n:
-                x[j:e] -= l[e:, j:e].T @ x[e:]
-            x[j:e] = d_inv.T @ x[j:e]
-        else:
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inverses = _diagonal_block_inverses(l)
+        block = inverses.shape[1]
+        x = np.eye(n)
+        for j in range(0, n, block):
+            e = min(j + block, n)
             if j:
                 x[j:e] -= l[j:e, :j] @ x[:j]
-            x[j:e] = d_inv @ x[j:e]
-    return x
+            x[j:e] = inverses[j // block, : e - j, : e - j] @ x[j:e]
+    return np.tril(x)
 
 
-def solve_lower(l, b, trans: bool = False) -> np.ndarray:
-    """Solve l x = b, or l^T x = b when trans, for lower-triangular l with
-    nonzero diagonal; b is a vector of length n or an n x m matrix.
-
-    Block forward (backward) substitution: each SOLVE_BLOCK-row block of x
-    takes one product with the already-solved rows and one with the
-    inverse of its diagonal block."""
-    l = np.asarray(l, dtype=float)
-    return _substitute(l, _diagonal_block_inverses(l), b, trans)
-
-
-def _inverse_norm1_estimate(solve, solve_t, n: int) -> float:
-    """Lower estimate of ||A^-1||_1 from at most eleven products with
-    A^-1 and A^-T (solve and solve_t): Hager's estimator in Higham's form
-    (ACM TOMS 14(4), 1988), step for step as LAPACK's dlacn2 takes it, so
-    a gate set on LAPACK's estimate reads the same value."""
-    x = solve(np.full(n, 1.0 / n))
-    if n == 1:
-        return abs(float(x[0]))
-    est = float(np.abs(x).sum())
-    signs = np.where(x >= 0, 1.0, -1.0)
-    j = int(np.abs(solve_t(signs)).argmax())
-    for _ in range(_ESTIMATE_ITERATIONS - 1):
-        x = solve(np.eye(1, n, j)[0])
-        est_old, est = est, float(np.abs(x).sum())
-        new_signs = np.where(x >= 0, 1.0, -1.0)
-        if (new_signs == signs).all() or est <= est_old:
-            break  # a repeated sign vector, or cycling
-        signs = new_signs
-        x = solve_t(signs)
-        j_last, j = j, int(np.abs(x).argmax())
-        if x[j_last] == abs(x[j]):
-            break
-    # a last trial vector of alternating signs and growing magnitude
-    alt = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
-    temp = 2.0 * (float(np.abs(solve(alt)).sum()) / (3 * n))
-    return max(est, temp)
-
-
-def _cond_estimate(l: np.ndarray) -> float:
-    """Estimate of the 1-norm condition number ||L||_1 ||L^-1||_1 of
-    lower-triangular l: the exact ||L||_1 times the lower estimate of
-    ||L^-1||_1 from _inverse_norm1_estimate, O(n^2) once the diagonal
-    blocks of l are inverted.  GRAM_COND_MAX and COND_WARN are set on
-    this estimate, a lower bound of the exact product.  inf when l is
-    singular or not finite, or the estimate overflows."""
-    if not np.all(np.isfinite(l)) or np.any(np.diagonal(l) == 0.0):
-        return math.inf
-    norm = float(np.abs(l).sum(axis=0).max())  # l has zeros above the diagonal
+def _cond_estimate(l: np.ndarray, l_inv: np.ndarray) -> float:
+    """The 1-norm condition number ||L||_1 ||L^-1||_1 of lower-triangular
+    l, exact given its inverse l_inv: two column sums, O(n^2).
+    GRAM_COND_MAX and COND_WARN are compared with it.  inf when l is
+    singular or not finite, or the product overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        inverses = _diagonal_block_inverses(l)
-        inv_norm = _inverse_norm1_estimate(
-            lambda b: _substitute(l, inverses, b, False),
-            lambda b: _substitute(l, inverses, b, True), l.shape[0])
-        rcond = (1.0 / norm) / inv_norm  # in LAPACK's order, for its bits
-    return 1.0 / rcond if rcond > 0 else math.inf
+        cond = float(np.abs(l).sum(axis=0).max()) * float(np.abs(l_inv).sum(axis=0).max())
+    return cond if math.isfinite(cond) else math.inf
 
 
-def gram_factor(h) -> np.ndarray | None:
-    """Lower-triangular L with positive diagonal and L^T L = h.
+def gram_factor(h) -> tuple[np.ndarray, np.ndarray] | None:
+    """Lower-triangular L with positive diagonal and L^T L = h, and L^-1.
 
     h is a Gram matrix X^T X; the Cholesky factorization of h with rows
     and columns reversed gives, reversed back and transposed, the L of
-    ql_decompose(X) up to rounding.  Returns None when the factorization
-    fails or L's estimated condition number exceeds GRAM_COND_MAX: there
-    the squared conditioning of h costs too many digits, and the caller
-    should factor X itself."""
+    ql_decompose(X) up to rounding.  L^-1 is invert_lower_triangular's,
+    bit for bit.  Returns None when the factorization fails or L's
+    condition number exceeds GRAM_COND_MAX: there the squared
+    conditioning of h costs too many digits, and the caller should factor
+    X itself."""
     try:
         c = np.linalg.cholesky(np.asarray(h, dtype=float)[::-1, ::-1])
     except np.linalg.LinAlgError:
         return None
     l = np.ascontiguousarray(c.T[::-1, ::-1])
-    if _cond_estimate(l) > GRAM_COND_MAX:
+    l_inv = _lower_inverse(l)
+    if _cond_estimate(l, l_inv) > GRAM_COND_MAX:
         return None
-    return l
+    return l, l_inv
 
 
 def invert_lower_triangular(l) -> np.ndarray:
@@ -352,7 +301,7 @@ def invert_lower_triangular(l) -> np.ndarray:
     bad = np.flatnonzero(np.abs(d) <= tol)
     if bad.size:
         raise SingularDiagonal(int(bad[0]))
-    return np.tril(solve_lower(l, np.eye(n)))
+    return _lower_inverse(l)
 
 
 def cholesky_spd(a, sym_tol: float = SYM_TOL) -> np.ndarray:

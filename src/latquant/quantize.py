@@ -18,10 +18,11 @@ solve, while gptq and babai are the production paths.  Every row of a
 weight matrix is an independent problem on the same factor L, so
 quantize_matrix factors once and runs one O(m n^2) sweep over the
 columns for all m rows; the single-row functions are m = 1 callers of
-the same kernels.  The production paths need only L, never Q: it comes
-from a Cholesky factorization of the n x n Gram matrix, and from a QR
-factorization of the k x n basis only when that Gram matrix is too
-ill-conditioned (linalg.gram_factor).
+the same kernels.  The production paths need only L and L^-1, never Q:
+L comes from a Cholesky factorization of the n x n Gram matrix, and from
+a QR factorization of the k x n basis only when that Gram matrix is too
+ill-conditioned (linalg.gram_factor).  Either route inverts L once, and
+every solve with it is a product with L^-1.
 
 Rank-deficient calibration data (in particular k < n) is handled by
 stacking mu * I under X, which adds mu^2 to every eigenvalue of X^T X;
@@ -50,11 +51,9 @@ from .linalg import (
     check_matrix,
     check_vector,
     gram_factor,
-    invert_lower_triangular,
     l2_norm,
     power_of_two_scale,
     ql_decompose,
-    solve_lower,
 )
 from .reduction import lll_reduce, map_solution
 
@@ -153,17 +152,20 @@ class SolverBasis:
     it).  basis is x_solver or, after reduction, x_solver @ u with u the
     exact unimodular transform (None without reduction).  l is the
     lower-triangular factor with positive diagonal and
-    l^T l = basis^T basis, all the solvers need: the coordinates Q^T t
-    of a point t on the basis's Gram-Schmidt directions are
-    l^-T basis^T t, so Q is never formed.  l comes from the Cholesky
-    factorization of basis^T basis, or from the QL factorization of basis
-    when that Gram matrix fails linalg.gram_factor's conditioning gate."""
+    l^T l = basis^T basis, and l_inv its inverse: all the solvers need.
+    The coordinates Q^T t of a point t on the basis's Gram-Schmidt
+    directions are l_inv^T basis^T t, so Q is never formed.  l comes from
+    the Cholesky factorization of basis^T basis, or from the QL
+    factorization of basis when that Gram matrix fails
+    linalg.gram_factor's conditioning gate; either route inverts it once,
+    with linalg.invert_lower_triangular's kernel."""
 
     x: np.ndarray
     x_solver: np.ndarray
     mu: float
     basis: np.ndarray
     l: np.ndarray
+    l_inv: np.ndarray
     u: np.ndarray | None = None
 
 
@@ -173,8 +175,8 @@ def solver_basis(x, mu: float | str, reduce_delta: float | None = None) -> Solve
 
     The Gram matrix basis^T basis is X^T X + mu^2 I, or B^T B for the
     reduced basis B.  Where gram_factor declines it, ql_decompose(basis)
-    supplies l and raises RankDeficient or warns IllConditionedWarning
-    as the input calls for."""
+    supplies l and l_inv and raises RankDeficient or warns
+    IllConditionedWarning as the input calls for."""
     x = check_matrix(x, "x")
     mu = resolve_mu(x, mu)
     x_solver = regularize(x, mu) if mu > 0 else x
@@ -183,10 +185,11 @@ def solver_basis(x, mu: float | str, reduce_delta: float | None = None) -> Solve
         reduced = lll_reduce(x_solver, reduce_delta)
         basis, u = reduced.basis_red, reduced.u
     with np.errstate(over="ignore"):  # an overflowing Gram matrix fails the factorization
-        l = gram_factor(basis.T @ basis)
-    if l is None:
-        l = ql_decompose(basis).l
-    return SolverBasis(x, x_solver, mu, basis, l, u)
+        factor = gram_factor(basis.T @ basis)
+    if factor is None:
+        f = ql_decompose(basis)
+        factor = f.l, f.l_inv
+    return SolverBasis(x, x_solver, mu, basis, *factor, u)
 
 
 def _gptq_rows(l_inv: np.ndarray, w: np.ndarray,
@@ -221,7 +224,7 @@ def _recursive_rows(basis: np.ndarray, w: np.ndarray, variant: str):
     identity).  Both then move w along column 1 of L^-1 and drop the
     first coordinate.  The conditioning of basis has been checked where
     it was factored, and a column suffix is no worse conditioned, so the
-    levels factor without the estimate."""
+    levels factor without the condition check."""
     v = np.empty(w.shape)
     coeffs = np.empty(w.shape)
     for r, w_cur in enumerate(np.asarray(w, dtype=float)):
@@ -260,7 +263,7 @@ def gptq_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
     sb = solver_basis(x, cfg.mu)
     w = check_vector(w, sb.x.shape[1], "w")[None, :]
     history: list[np.ndarray] = []
-    v, coeffs = _gptq_rows(invert_lower_triangular(sb.l), w, history)
+    v, coeffs = _gptq_rows(sb.l_inv, w, history)
     err, err_reg = _row_errors(sb, w, v, 1.0)
     return QuantResult(
         v=v[0],
@@ -348,10 +351,10 @@ def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
     if sb.u is not None:
         # the pull-back as one n x n matrix, then one product per row, which
         # keeps each row's bits independent of m
-        pull = solve_lower(l, solve_lower(l, sb.basis.T @ sb.x_solver, trans=True))
+        pull = sb.l_inv @ (sb.l_inv.T @ (sb.basis.T @ sb.x_solver))
         w_basis = np.array([pull @ w for w in w_scaled])
     if cfg.algorithm == "gptq":
-        v, coeffs = _gptq_rows(invert_lower_triangular(l), w_basis)
+        v, coeffs = _gptq_rows(sb.l_inv, w_basis)
     elif cfg.algorithm == "babai":
         # one product per row keeps each row's bits independent of m
         v, coeffs = nearest_plane_rows(l, np.array([l @ w for w in w_basis]))
@@ -414,7 +417,6 @@ def cross_layer_target(x, x_hat, w, cfg: QuantConfig = QuantConfig()) -> CrossLa
         raise ValueError(f"x and x_hat shapes differ: {x.shape} vs {x_hat.shape}")
     w = check_vector(w, x.shape[1], "w")
     sb = solver_basis(x_hat, cfg.mu)
-    l = sb.l
 
     t = x @ w
     t_emb = np.concatenate([t / cfg.alpha, np.zeros(sb.x_solver.shape[0] - t.size)])
@@ -422,10 +424,10 @@ def cross_layer_target(x, x_hat, w, cfg: QuantConfig = QuantConfig()) -> CrossLa
     # rows; t enters scaled by a power of two, so x_hat^T t of large data
     # does not overflow
     scale = power_of_two_scale(t)
-    p = solve_lower(l, x_hat.T @ (t / scale), trans=True) * scale / cfg.alpha
-    w_hat = solve_lower(l, p)
-    (v_b,), (coeffs_b,) = nearest_plane_rows(l, p[None, :])
-    (v_g,), (coeffs_g,) = _gptq_rows(invert_lower_triangular(l), w_hat[None, :])
+    p = sb.l_inv.T @ (x_hat.T @ (t / scale)) * scale / cfg.alpha
+    w_hat = sb.l_inv @ p
+    (v_b,), (coeffs_b,) = nearest_plane_rows(sb.l, p[None, :])
+    (v_g,), (coeffs_g,) = _gptq_rows(sb.l_inv, w_hat[None, :])
 
     fragile = sorted(set(fragile_indices(coeffs_b, cfg.tie_tol))
                      | set(fragile_indices(coeffs_g, cfg.tie_tol)))

@@ -385,3 +385,24 @@ class TestReduce:
         )
         out = capsys.readouterr().out
         assert "sum L_ii^2" in out
+
+    @pytest.mark.parametrize("x", [[[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [[1.0, 2.0]]])
+    def test_dependent_columns_exit_3_without_a_mu_hint(self, workdir, capsys, x):
+        # reduce takes no --mu, so the hint the other subcommands give
+        # would send the user to an option it rejects
+        calib = write(workdir / "X.csv", x)
+        assert main(["reduce", "--calib", calib]) == 3
+        err = capsys.readouterr().err
+        assert "linearly independent" in err
+        assert "mu" not in err
+        assert not (workdir / "reduced.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["quantize", "--weights", "W.csv"], ["bounds"], ["oracle", "--weights", "W.csv"],
+])
+def test_mu_hint_on_subcommands_that_take_mu(workdir, capsys, command):
+    calib = write(workdir / "X.csv", [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    write(workdir / "W.csv", [[0.4, 1.6]])
+    assert main([*command, "--calib", calib, "--mu", "0"]) == 3
+    assert "hint: pass --mu > 0 (or --mu auto)" in capsys.readouterr().err

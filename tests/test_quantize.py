@@ -25,6 +25,7 @@ from latquant.quantize import (
     regularize,
     resolve_mu,
     scaled_quantize,
+    solver_basis,
 )
 
 
@@ -468,3 +469,32 @@ class TestGramRoute:
         quantize_matrix(weights, x, cfg)
         cross_layer_target(x, x_hat, weights[0], cfg)
         assert calls == []
+
+    @pytest.mark.parametrize("decade", [0, 6])
+    def test_l_inv_is_the_inverse_of_l_bit_for_bit(self, decade):
+        # n = 80 spans two diagonal blocks of the inverse; decade 0 takes
+        # the Gram route, decade 6 the QR route
+        x, _ = conditioned_instance(decade, decade, k=160, n=80)
+        assert (gram_factor(x.T @ x) is not None) == (decade == 0)
+        sb = solver_basis(x, 0.0)
+        np.testing.assert_array_equal(sb.l_inv, invert_lower_triangular(sb.l))
+
+    @pytest.mark.parametrize("call", ["gptq", "babai", "cross_layer_target"])
+    def test_each_factorization_is_inverted_once(self, call, monkeypatch):
+        rng = np.random.default_rng(71)
+        x = rng.standard_normal((320, 80))
+        weights = rng.standard_normal((3, 80))
+        assert gram_factor(x.T @ x) is not None
+        calls = []
+        block_inverses = latquant.linalg._diagonal_block_inverses
+
+        def counting(l):
+            calls.append(l.shape)
+            return block_inverses(l)
+
+        monkeypatch.setattr(latquant.linalg, "_diagonal_block_inverses", counting)
+        if call == "cross_layer_target":
+            cross_layer_target(x, x + 0.01 * rng.standard_normal(x.shape), weights[0])
+        else:
+            quantize_matrix(weights, x, QuantConfig(algorithm=call))
+        assert calls == [(80, 80)]
