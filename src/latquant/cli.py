@@ -280,15 +280,16 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    x = load_matrix_csv(args.calib)
-    before = ql_decompose(x).diag
-    reduced = lll_reduce(x, args.delta)
+    lattice = LatticeBasis(load_matrix_csv(args.calib))
+    before = lattice.factors.diag
+    reduced = lll_reduce(lattice, args.delta)
     after = ql_decompose(reduced.basis_red).diag
     save_matrix_csv(args.out, reduced.basis_red)
     save_matrix_csv(args.out_unimodular, reduced.u)
     print("L_diag before: " + ",".join(repr(float(d)) for d in before))
     print("L_diag after:  " + ",".join(repr(float(d)) for d in after))
-    print(f"sum L_ii^2: {float(np.sum(before ** 2))!r} -> {float(np.sum(after ** 2))!r}")
+    with np.errstate(over="ignore"):  # past the float range the sums read inf
+        print(f"sum L_ii^2: {float(np.sum(before ** 2))!r} -> {float(np.sum(after ** 2))!r}")
     print(f"wrote {args.out} and {args.out_unimodular}")
     return 0
 

@@ -1,8 +1,9 @@
 """Sequential weight quantization in parameter space.
 
 Given calibration inputs X (k x n, rows are samples) and a weight row w,
-the task is to pick v with integer entries minimizing ||X w - X v||_2.
-The solvers here:
+the task is to pick v with integer entries minimizing ||t - X v||_2 for
+the target t = X w, or for a cross-layer target t = X' w off the span of
+X (X' the unquantized upstream activations).  The solvers here:
 
   gptq            sequential rounding with a correction of the remaining
                   coordinates through the column of L^-1 (L^T L = X^T X)
@@ -14,15 +15,12 @@ The solvers here:
 
 All four provably return the same integer vector; the recursive variants
 exist to make that equivalence executable and are O(n) factorizations per
-solve, while gptq and babai are the production paths.  Every row of a
-weight matrix is an independent problem on the same factor L, so
-quantize_matrix factors once and runs one O(m n^2) sweep over the
-columns for all m rows; the single-row functions are m = 1 callers of
-the same kernels.  The production paths need only L and L^-1, never Q:
-L comes from a Cholesky factorization of the n x n Gram matrix, and from
-a QR factorization of the k x n basis only when that Gram matrix is too
-ill-conditioned (linalg.gram_factor).  Either route inverts L once, and
-every solve with it is a product with L^-1.
+solve, while gptq and babai are the production paths.  quantize_matrix is
+the one solve path: it factors once (linalg.gram_factor's Cholesky of the
+Gram matrix, or QR of the basis when that is too ill-conditioned), inverts
+L once, and runs one O(m n^2) sweep over the columns for all m rows.
+The single-row functions run the same kernels on one row, and
+cross_layer_target is its one-row wrapper.
 
 Rank-deficient calibration data (in particular k < n) is handled by
 stacking mu * I under X, which adds mu^2 to every eigenvalue of X^T X;
@@ -245,12 +243,28 @@ def _recursive_rows(basis: np.ndarray, w: np.ndarray, variant: str):
     return rows_to_int64(v), coeffs
 
 
-def _row_errors(sb: SolverBasis, w: np.ndarray, v: np.ndarray, alpha: float):
-    """alpha ||X (w - v)|| per row, against the original and the
-    regularized X."""
-    diff = (w - v).T
-    return (alpha * l2_norm(sb.x @ diff, axis=0),
-            alpha * l2_norm(sb.x_solver @ diff, axis=0))
+def _row_errors(sb: SolverBasis, d: np.ndarray, t: np.ndarray | None, alpha: float):
+    """alpha ||t_r - X_solver d_r|| per row, over the rows of the original
+    X and over all rows of the regularized one; t_r is zero past its end
+    (the mu * I block), and t = None is zero."""
+    r = -(np.asarray(d, dtype=float) @ sb.x_solver.T)
+    if t is not None:
+        r[:, : t.shape[1]] += t
+    return alpha * l2_norm(r[:, : sb.x.shape[0]], axis=1), alpha * l2_norm(r, axis=1)
+
+
+def _pull_back(sb: SolverBasis, t: np.ndarray, alpha: float):
+    """Rows p_r = L^-T B^T t_r / alpha (t_r's coordinates on the
+    Gram-Schmidt directions of the basis B) and w_r = L^-1 p_r (its
+    least-squares coefficients); t_r is zero past its end.  Each row takes
+    its own products, so its bits do not depend on the other rows, on t_r
+    divided by a power of two, so B^T t of large data does not overflow."""
+    b_t = sb.basis[: t.shape[1]].T
+    p = np.empty((t.shape[0], sb.l.shape[0]))
+    for r, row in enumerate(t):
+        scale = power_of_two_scale(row)
+        p[r] = sb.l_inv.T @ (b_t @ (row / scale)) * scale / alpha
+    return p, np.array([sb.l_inv @ row for row in p])
 
 
 def gptq_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
@@ -264,7 +278,7 @@ def gptq_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
     w = check_vector(w, sb.x.shape[1], "w")[None, :]
     history: list[np.ndarray] = []
     v, coeffs = _gptq_rows(sb.l_inv, w, history)
-    err, err_reg = _row_errors(sb, w, v, 1.0)
+    err, err_reg = _row_errors(sb, v - w, None, 1.0)
     return QuantResult(
         v=v[0],
         values=v[0].astype(float),
@@ -300,14 +314,15 @@ def scaled_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
     errors are recomputed for the clipped vector."""
     w = check_vector(w, name="w")
     v, rep = quantize_matrix(w[None, :], x, cfg)
-    return QuantResult(
-        v=v[0],
-        values=cfg.alpha * v[0].astype(float),
-        error_l2=float(rep.row_errors[0]),
-        error_regularized=float(rep.row_errors_regularized[0]),
-        step_coeffs=rep.step_coeffs[0],
-        fragile=[j for _, j in rep.fragile],
-    )
+    return _one_row(v, rep, cfg.alpha, [j for _, j in rep.fragile])
+
+
+def _one_row(v, rep, alpha: float, fragile: list[int]) -> QuantResult:
+    """The QuantResult of a one-row run."""
+    return QuantResult(v=v[0], values=alpha * v[0].astype(float),
+                       error_l2=float(rep.row_errors[0]),
+                       error_regularized=float(rep.row_errors_regularized[0]),
+                       step_coeffs=rep.step_coeffs[0], fragile=fragile)
 
 
 @dataclass(eq=False)
@@ -325,47 +340,61 @@ class MatrixQuantReport:
 
 
 def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
-                    reduce_delta: float | None = None
+                    reduce_delta: float | None = None, x_target=None
                     ) -> tuple[np.ndarray, MatrixQuantReport]:
     """Quantize every row of a weight matrix against shared calibration
-    data.
+    data, factoring the (regularized) calibration matrix once.
 
-    The (regularized) calibration matrix is factored once, and every row
-    is solved in one sweep over its columns (the recursive references go
-    row by row).  With reduce_delta set, the basis is first LLL-reduced
-    with that parameter: the solvers then run on each target's
-    coordinates on the reduced basis B, the least-squares pull-back
-    L_red^-1 L_red^-T B^T X w, and the solution maps back through the
-    unimodular transform in exact integers.  Total squared error is the
-    sum of the per-row squared errors."""
+    Row w aims at X_solver w, or with x_target (shaped like x) at
+    x_target @ w: a cross-layer target off the span of x, zero on the
+    mu * I rows, so x_target = x is not the default target when mu > 0.
+    With reduce_delta the basis is first LLL-reduced with that parameter,
+    and v maps back through the exact unimodular transform.  An off-span
+    target, or any target on a reduced basis B, is pulled back row by row
+    to p = L^-T B^T t / alpha, which the nearest-plane sweep reads, and
+    w = L^-1 p, which the parameter-space loop reads; otherwise the
+    coefficients are w / alpha.  row_errors are alpha ||t/alpha - X v||
+    (for an in-span target alpha ||X (w/alpha - v)||), the regularized
+    ones take X_solver, and each total is the root of the rows' squares."""
     weights = check_matrix(weights, "weights")
     x = check_matrix(x, "x")
     if weights.shape[1] != x.shape[1]:
         raise ValueError(
             f"weights have {weights.shape[1]} columns, calibration has {x.shape[1]}"
         )
-    sb = solver_basis(x, cfg.mu, reduce_delta)
-    l = sb.l
+    if x_target is not None:
+        x_target = check_matrix(x_target, "x_target")
+        if x_target.shape != x.shape:
+            raise ValueError(f"x_target and x shapes differ: {x_target.shape} vs {x.shape}")
+    return _solve_rows(solver_basis(x, cfg.mu, reduce_delta), weights, cfg, x_target)[:2]
+
+
+def _solve_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig, x_target):
+    """quantize_matrix on the factored basis sb.  Also returns v before
+    the clamp and the rows' coefficients on the basis the solver ran on."""
     w_scaled = weights / cfg.alpha
-    w_basis = w_scaled
-    if sb.u is not None:
-        # the pull-back as one n x n matrix, then one product per row, which
-        # keeps each row's bits independent of m
-        pull = sb.l_inv @ (sb.l_inv.T @ (sb.basis.T @ sb.x_solver))
-        w_basis = np.array([pull @ w for w in w_scaled])
+    w_basis, p, t = w_scaled, None, None
+    if x_target is not None or sb.u is not None:
+        # one product per row keeps each row's bits independent of m
+        source = sb.x_solver if x_target is None else x_target
+        t = np.array([source @ w for w in weights])
+        p, w_basis = _pull_back(sb, t, cfg.alpha)
     if cfg.algorithm == "gptq":
         v, coeffs = _gptq_rows(sb.l_inv, w_basis)
     elif cfg.algorithm == "babai":
-        # one product per row keeps each row's bits independent of m
-        v, coeffs = nearest_plane_rows(l, np.array([l @ w for w in w_basis]))
+        if p is None:
+            p = np.array([sb.l @ w for w in w_basis])
+        v, coeffs = nearest_plane_rows(sb.l, p)
     else:
         v, coeffs = _recursive_rows(sb.basis, w_basis, cfg.algorithm)
     if sb.u is not None:
         v = map_solution(sb.u, v)
-    if cfg.clamp is not None:
-        v = np.clip(v, *cfg.clamp)
-    row_err, row_err_reg = _row_errors(sb, w_scaled, v, cfg.alpha)
-    n = x.shape[1]
+    v_out = v if cfg.clamp is None else np.clip(v, *cfg.clamp)
+    if t is None:  # in the span: t / alpha - X_solver v = X_solver (w / alpha - v)
+        row_err, row_err_reg = _row_errors(sb, v_out - w_scaled, None, cfg.alpha)
+    else:
+        row_err, row_err_reg = _row_errors(sb, v_out, t / cfg.alpha, cfg.alpha)
+    n = sb.x.shape[1]
     report = MatrixQuantReport(
         row_errors=row_err,
         row_errors_regularized=row_err_reg,
@@ -374,22 +403,20 @@ def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
         fragile=[divmod(j, n) for j in fragile_indices(coeffs.ravel(), cfg.tie_tol)],
         step_coeffs=coeffs,
         mu=sb.mu,
-        l_diag=np.diag(l).copy(),
+        l_diag=np.diag(sb.l).copy(),
     )
-    return v, report
+    return v_out, report, v, w_basis
 
 
 @dataclass(eq=False)
 class CrossLayerResult:
     """Both solution routes for a cross-layer target, plus diagnostics.
 
-    result holds the target-form solve (the production route).  w_hat is
-    the least-squares pull-back of the target onto the quantized lattice;
-    v_gptq_route is what the parameter-space loop returns for it.  The two
+    result is the nearest-plane solve; v_gptq_route is the parameter-space
+    loop's answer for w_hat, the target's least-squares pull-back.  They
     agree on every non-fragile coordinate.  off_span_residual is
-    ||X w - alpha X_hat w_hat||, the part of the target no lattice vector
-    can reach; projected_error measures the solve against the projected
-    target instead of the original one."""
+    ||X w - alpha X_hat w_hat||, the part no lattice vector can reach, and
+    projected_error the solve's error against the projected target."""
 
     result: QuantResult
     w_hat: np.ndarray
@@ -400,60 +427,29 @@ class CrossLayerResult:
 
 
 def cross_layer_target(x, x_hat, w, cfg: QuantConfig = QuantConfig()) -> CrossLayerResult:
-    """Quantize against the lattice of x_hat while aiming at x @ w.
+    """Quantize one row against the lattice of x_hat while aiming at
+    t = x @ w: quantize_matrix(w[None, :], x_hat, cfg, x_target=x) with the
+    nearest-plane sweep, whatever cfg.algorithm says.
 
-    The target t = X w generally lies outside the column span of X_hat
-    (already-quantized upstream layers shift it).  The target-form sweep
-    handles that directly; equivalently one can project, w_hat being the
-    least-squares solution, and run the parameter-space loop on w_hat.
-    Both answers are computed and compared here.
-
-    With mu > 0 the lattice is the regularized stack of x_hat and the
-    target is embedded with zeros in the regularization block, which keeps
-    the two routes exactly equivalent for every mu >= 0."""
+    On the same factorization it also runs the other route, the
+    parameter-space loop on the least-squares pull-back w_hat, and
+    compares the two before the clamp.  t is zero on the mu * I rows,
+    which keeps the routes exactly equivalent for every mu >= 0."""
     x = check_matrix(x, "x")
     x_hat = check_matrix(x_hat, "x_hat")
     if x.shape != x_hat.shape:
         raise ValueError(f"x and x_hat shapes differ: {x.shape} vs {x_hat.shape}")
     w = check_vector(w, x.shape[1], "w")
     sb = solver_basis(x_hat, cfg.mu)
-
-    t = x @ w
-    t_emb = np.concatenate([t / cfg.alpha, np.zeros(sb.x_solver.shape[0] - t.size)])
-    # Q^T t_emb = L^-T x_solver^T t_emb, and t_emb is zero on the mu * I
-    # rows; t enters scaled by a power of two, so x_hat^T t of large data
-    # does not overflow
-    scale = power_of_two_scale(t)
-    p = sb.l_inv.T @ (x_hat.T @ (t / scale)) * scale / cfg.alpha
-    w_hat = sb.l_inv @ p
-    (v_b,), (coeffs_b,) = nearest_plane_rows(sb.l, p[None, :])
+    v, rep, (v_b,), (w_hat,) = _solve_rows(
+        sb, w[None, :], dataclasses.replace(cfg, algorithm="babai"), x)
     (v_g,), (coeffs_g,) = _gptq_rows(sb.l_inv, w_hat[None, :])
-
-    fragile = sorted(set(fragile_indices(coeffs_b, cfg.tie_tol))
-                     | set(fragile_indices(coeffs_g, cfg.tie_tol)))
-    solid = np.setdiff1d(np.arange(x.shape[1]), np.array(fragile, dtype=int))
-    routes_agree = bool(np.array_equal(v_b[solid], v_g[solid]))
-
-    v = v_b
-    if cfg.clamp is not None:
-        v = np.clip(v, *cfg.clamp)
-    values = cfg.alpha * v.astype(float)
-    err = float(l2_norm(t - x_hat @ values))
-    err_reg = cfg.alpha * float(l2_norm(t_emb - sb.x_solver @ v))
+    fragile = sorted({j for _, j in rep.fragile} | set(fragile_indices(coeffs_g, cfg.tie_tol)))
+    result = _one_row(v, rep, cfg.alpha, fragile)
     projected = x_hat @ (cfg.alpha * w_hat)
-    result = QuantResult(
-        v=v,
-        values=values,
-        error_l2=err,
-        error_regularized=err_reg,
-        step_coeffs=coeffs_b,
-        fragile=fragile,
-    )
     return CrossLayerResult(
-        result=result,
-        w_hat=w_hat,
-        v_gptq_route=v_g,
-        routes_agree=routes_agree,
-        off_span_residual=float(l2_norm(t - projected)),
-        projected_error=float(l2_norm(projected - x_hat @ values)),
+        result=result, w_hat=w_hat, v_gptq_route=v_g,
+        routes_agree=set(np.flatnonzero(v_b != v_g).tolist()) <= set(fragile),
+        off_span_residual=float(l2_norm(x @ w - projected)),
+        projected_error=float(l2_norm(projected - x_hat @ result.values)),
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import IntegerOverflow, LatticeBasis, round_half_even
-from .linalg import check_matrix, ql_decompose
+from .linalg import _ql_factors, check_matrix, power_of_two_scale, ql_decompose
 
 DEFAULT_DELTA = 0.99
 
@@ -87,7 +87,12 @@ def _lll_columns(b: np.ndarray, u: np.ndarray, delta: float) -> None:
 
 def lll_reduce(basis, delta: float = DEFAULT_DELTA) -> ReducedBasis:
     """delta-LLL-reduce a basis (columns), returning the reduced basis and
-    the exact unimodular transform with basis_red = basis @ u."""
+    the exact unimodular transform with basis_red = basis @ u.
+
+    The reduction runs on the basis divided by a power of two near its
+    largest entry, so the Gram-Schmidt dot products of large data do not
+    overflow; for data in the normal range that changes no decision and no
+    bit of basis_red."""
     if not 0.25 < delta < 1.0:
         raise ValueError(f"delta must be in (0.25, 1), got {delta}")
     if isinstance(basis, LatticeBasis):
@@ -97,14 +102,15 @@ def lll_reduce(basis, delta: float = DEFAULT_DELTA) -> ReducedBasis:
         ql_decompose(b0)  # reject dependent columns up front
     n = b0.shape[1]
 
-    b = np.array(b0[:, ::-1], dtype=float)
+    scale = power_of_two_scale(b0)
+    b = b0[:, ::-1] / scale
     u = np.empty((n, n), dtype=object)
     u[:] = 0
     for i in range(n):
         u[i, i] = 1
     _lll_columns(b, u, delta)
 
-    basis_red = np.ascontiguousarray(b[:, ::-1])
+    basis_red = np.ascontiguousarray(b[:, ::-1]) * scale
     u_full = np.ascontiguousarray(u[::-1, ::-1])
     if abs(abs(unimodular_det(u_full)) - 1.0) > 1e-6:
         raise RuntimeError("reduction produced a non-unimodular transform")
@@ -153,8 +159,7 @@ def unimodular_det(u: np.ndarray) -> float:
     n = u.shape[0]
     if n <= _EXACT_DET_MAX:
         return float(_det_bareiss([[int(x) for x in row] for row in u]))
-    factors = ql_decompose(np.array(u, dtype=float))
-    return float(np.prod(factors.diag))
+    return float(np.prod(_ql_factors(np.array(u, dtype=float)).diag))
 
 
 def is_lll_reduced(basis_red: np.ndarray, delta: float, tol: float = 1e-9) -> bool:

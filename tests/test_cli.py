@@ -192,6 +192,22 @@ class TestQuantize:
         assert data["bound_abs_paper"] == pytest.approx(1e160 * np.sqrt(29 + 1 / 29), rel=1e-12)
         assert data["gamma_bound"] == pytest.approx(ref["gamma_bound"], rel=1e-12)
 
+    def test_reduce_lll_on_large_finite_data(self, workdir, capsys):
+        # LLL and the pull-back of ~1e160 data run scaled: the unscaled
+        # run's V, errors 1e160 times its own
+        small = write(workdir / "X1.csv", [[3.0, 5.0], [1.0, 2.0]])
+        calib = write(workdir / "X.csv", [[3e160, 5e160], [1e160, 2e160]])
+        weights = write(workdir / "W.csv", [[0.4, 0.7]])
+        assert main(["quantize", "--weights", weights, "--calib", small, "--reduce", "lll",
+                     "--report", "small.json", "--out", "V1.csv"]) == 0
+        assert main(["quantize", "--weights", weights, "--calib", calib, "--reduce", "lll"]) == 0
+        assert "error" not in capsys.readouterr().err
+        assert (workdir / "V.csv").read_text() == (workdir / "V1.csv").read_text()
+        data, _ = read_report(workdir / "report.json")
+        ref, _ = read_report(workdir / "small.json")
+        for key in ("error_l2", "error_regularized", "bound_abs_paper"):
+            assert data[key] == pytest.approx(1e160 * ref[key], rel=1e-12)
+
     def test_summary_prints_the_reported_bound(self, workdir, capsys):
         calib = write(workdir / "X.csv", [[3.0, 5.0], [1.0, 2.0]])
         weights = write(workdir / "W.csv", [[-1.2, 0.8], [0.3, 2.6], [1.7, -0.4]])
@@ -286,6 +302,14 @@ class TestBounds:
         assert gammas[1] == pytest.approx(np.sqrt(3.0), rel=1e-9)
         assert papers[1] < papers[0]
 
+    def test_reduction_of_large_finite_data(self, workdir, capsys):
+        calib = write(workdir / "X.csv", [[3e160, 5e160], [1e160, 2e160]])
+        assert main(["bounds", "--calib", calib, "--reduce", "lll"]) == 0
+        out = capsys.readouterr().out
+        gammas = [float(g) for g in re.findall(r"gamma_bound\s*=\s*([-0-9.eE+]+)", out)]
+        assert gammas == [pytest.approx(29.03446228191599, rel=1e-12),
+                          pytest.approx(np.sqrt(3), rel=1e-12)]
+
     def test_reduce_never_hurts_paper_bound_on_fixtures(self, workdir, capsys):
         fixtures = [
             np.eye(3),
@@ -363,6 +387,20 @@ class TestOracle:
         data, _ = read_report(workdir / "r.json")
         assert np.isfinite(data["error_l2"]) and data["oracle_error"] == opt
 
+    def test_large_finite_data_on_the_reduced_basis(self, workdir, capsys):
+        small = write(workdir / "X1.csv", [[3.0, 5.0], [1.0, 2.0]])
+        calib = write(workdir / "X.csv", [[3e160, 5e160], [1e160, 2e160]])
+        weights = write(workdir / "W.csv", [[0.4, 0.7]])
+        assert main(["oracle", "--calib", small, "--weights", weights, "--reduce", "lll",
+                     "--report", "small.json"]) == 0
+        assert main(["oracle", "--calib", calib, "--weights", weights, "--reduce", "lll",
+                     "--report", "r.json"]) == 0
+        assert capsys.readouterr().err == ""
+        data, _ = read_report(workdir / "r.json")
+        ref, _ = read_report(workdir / "small.json")
+        assert data["v"] == ref["v"]
+        assert data["oracle_error"] == pytest.approx(1e160 * ref["oracle_error"], rel=1e-12)
+
     def test_dimension_guard_exits_2(self, workdir, capsys):
         calib = write(workdir / "X.csv", np.eye(9))
         target = write(workdir / "T.csv", [np.zeros(9)])
@@ -385,6 +423,17 @@ class TestReduce:
         )
         out = capsys.readouterr().out
         assert "sum L_ii^2" in out
+
+    def test_large_finite_data(self, workdir, capsys):
+        # the transform is the unscaled one; sum L_ii^2 (~3e321) reads inf
+        small = write(workdir / "X1.csv", [[3.0, 5.0], [1.0, 2.0]])
+        calib = write(workdir / "X.csv", [[3e160, 5e160], [1e160, 2e160]])
+        assert main(["reduce", "--calib", small, "--out-unimodular", "u1.csv"]) == 0
+        assert main(["reduce", "--calib", calib]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "sum L_ii^2: inf -> inf" in captured.out
+        assert (workdir / "unimodular.csv").read_text() == (workdir / "u1.csv").read_text()
 
     @pytest.mark.parametrize("x", [[[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [[1.0, 2.0]]])
     def test_dependent_columns_exit_3_without_a_mu_hint(self, workdir, capsys, x):

@@ -10,11 +10,18 @@ import latquant.reduction
 from latquant.lattice import (
     IntegerOverflow,
     LatticeBasis,
+    babai_from_target,
     babai_nearest_plane,
     fragile_indices,
     round_half_even,
 )
-from latquant.linalg import RankDeficient, gram_factor, invert_lower_triangular, ql_decompose
+from latquant.linalg import (
+    RankDeficient,
+    gram_factor,
+    invert_lower_triangular,
+    l2_norm,
+    ql_decompose,
+)
 from latquant.quantize import (
     ALGORITHMS,
     QuantConfig,
@@ -27,6 +34,16 @@ from latquant.quantize import (
     scaled_quantize,
     solver_basis,
 )
+from latquant.reduction import map_solution
+
+# every algorithm of the batch tests, aiming at the default target and at
+# an off-span x_target
+BATCH_CASES = [pytest.param(algorithm, off_span, id=algorithm + ("-x_target" if off_span else ""))
+               for off_span in (False, True) for algorithm in ("gptq", "babai")]
+
+
+def relu(a):
+    return np.maximum(a, 0.0)
 
 
 class TestQuantConfig:
@@ -299,29 +316,32 @@ class TestQuantizeMatrix:
             sum(e ** 2 for e in row_errs), rel=1e-12
         )
 
-    @pytest.mark.parametrize("algorithm", ["gptq", "babai"])
-    def test_batch_matches_stacked_single_rows(self, algorithm):
+    @pytest.mark.parametrize("algorithm, off_span", BATCH_CASES)
+    def test_batch_matches_stacked_single_rows(self, algorithm, off_span):
         # the row-batched sweep gives every row the bits of its m = 1 solve
         rng = np.random.default_rng(47)
         x = rng.uniform(-1.0, 1.0, (10, 4))
         weights = rng.uniform(-2.0, 2.0, (16, 4))
+        x_target = x + 0.05 * rng.standard_normal(x.shape) if off_span else None
         cfg = QuantConfig(mu=0.1, alpha=0.3, algorithm=algorithm)
-        v, rep = quantize_matrix(weights, x, cfg)
-        rows = [quantize_matrix(w[None, :], x, cfg) for w in weights]
+        v, rep = quantize_matrix(weights, x, cfg, x_target=x_target)
+        rows = [quantize_matrix(w[None, :], x, cfg, x_target=x_target) for w in weights]
         np.testing.assert_array_equal(v, np.vstack([r[0] for r in rows]))
         np.testing.assert_array_equal(
             rep.step_coeffs, np.vstack([r[1].step_coeffs for r in rows])
         )
 
-    @pytest.mark.parametrize("algorithm", ["gptq", "babai"])
-    def test_reduced_batch_matches_stacked_single_rows(self, algorithm):
+    @pytest.mark.parametrize("algorithm, off_span", BATCH_CASES)
+    def test_reduced_batch_matches_stacked_single_rows(self, algorithm, off_span):
         # the same on an LLL-reduced basis, where each row is pulled back
         rng = np.random.default_rng(53)
         x = rng.uniform(-1.0, 1.0, (12, 6)) @ rng.uniform(-1.0, 1.0, (6, 6))
         weights = rng.uniform(-2.0, 2.0, (16, 6))
+        x_target = x + 0.05 * rng.standard_normal(x.shape) if off_span else None
         cfg = QuantConfig(mu=0.1, alpha=0.3, algorithm=algorithm)
-        v, rep = quantize_matrix(weights, x, cfg, reduce_delta=0.99)
-        rows = [quantize_matrix(w[None, :], x, cfg, reduce_delta=0.99) for w in weights]
+        v, rep = quantize_matrix(weights, x, cfg, reduce_delta=0.99, x_target=x_target)
+        rows = [quantize_matrix(w[None, :], x, cfg, reduce_delta=0.99, x_target=x_target)
+                for w in weights]
         np.testing.assert_array_equal(v, np.vstack([r[0] for r in rows]))
         np.testing.assert_array_equal(
             rep.step_coeffs, np.vstack([r[1].step_coeffs for r in rows])
@@ -333,9 +353,44 @@ class TestQuantizeMatrix:
             with pytest.raises(IntegerOverflow):
                 quantize_matrix(np.array([[1e19, 0.5]]), x, QuantConfig(algorithm=algorithm))
 
+    @pytest.mark.parametrize("algorithm", ["gptq", "babai"])
+    def test_target_on_reduced_basis_is_nearest_plane_from_the_target(self, algorithm):
+        rng = np.random.default_rng(59)
+        x = rng.uniform(-1.0, 1.0, (12, 5)) @ rng.uniform(-1.0, 1.0, (5, 5))
+        x_target = x + 0.05 * rng.standard_normal(x.shape)
+        weights = rng.uniform(-2.0, 2.0, (8, 5))
+        cfg = QuantConfig(mu=0.1, alpha=0.3, algorithm=algorithm)
+        v, _ = quantize_matrix(weights, x, cfg, reduce_delta=0.99, x_target=x_target)
+        sb = solver_basis(x, cfg.mu, 0.99)
+        lattice = LatticeBasis(sb.basis)
+        for row, w in zip(v, weights):
+            # the target is zero on the mu * I rows
+            t_emb = np.concatenate([x_target @ w / cfg.alpha, np.zeros(5)])
+            sol = babai_from_target(lattice, t_emb)
+            assert sol.fragile == []
+            np.testing.assert_array_equal(row, map_solution(sb.u, sol.v))
+
+    def test_x_target_x_is_the_default_only_without_mu(self):
+        rng = np.random.default_rng(61)
+        x = rng.uniform(-1.0, 1.0, (10, 4))
+        weights = rng.uniform(-2.0, 2.0, (5, 4))
+        v, rep = quantize_matrix(weights, x)
+        v_t, rep_t = quantize_matrix(weights, x, x_target=x)
+        np.testing.assert_array_equal(v_t, v)
+        np.testing.assert_allclose(rep_t.row_errors, rep.row_errors, rtol=1e-12)
+        # with a large mu the default target X_solver w is nearly mu * w, so
+        # v = round(w); the x_target one is zero on the mu * I rows, so v = 0
+        cfg = QuantConfig(mu=1e6)
+        v, _ = quantize_matrix(weights, x, cfg)
+        v_t, _ = quantize_matrix(weights, x, cfg, x_target=x)
+        np.testing.assert_array_equal(v, np.rint(weights))
+        np.testing.assert_array_equal(v_t, np.zeros_like(v_t))
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="columns"):
             quantize_matrix(np.zeros((2, 3)), np.eye(2))
+        with pytest.raises(ValueError, match="shapes differ"):
+            quantize_matrix(np.zeros((2, 2)), np.eye(2), x_target=np.eye(3, 2))
 
 
 class TestCrossLayer:
@@ -389,6 +444,54 @@ class TestCrossLayer:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes differ"):
             cross_layer_target(np.eye(2), np.eye(3), np.zeros(2))
+
+    def test_clamp_applies_to_the_result_after_the_routes_are_compared(self):
+        rng = np.random.default_rng(73)
+        x = rng.uniform(-1.0, 1.0, (10, 4))
+        x_hat = x + 0.02 * rng.standard_normal(x.shape)
+        w = np.array([3.1, -2.6, 0.4, 1.7])
+        cfg = QuantConfig(mu=0.2, alpha=0.5, clamp=(-2, 2))
+        free = cross_layer_target(x, x_hat, w, QuantConfig(mu=0.2, alpha=0.5))
+        out = cross_layer_target(x, x_hat, w, cfg)
+        assert np.abs(free.result.v).max() > 2  # the clamp moves something
+        np.testing.assert_array_equal(out.result.v, np.clip(free.result.v, -2, 2))
+        np.testing.assert_array_equal(out.result.values, 0.5 * out.result.v)
+        t = x @ w
+        assert out.result.error_l2 == pytest.approx(
+            l2_norm(t - x_hat @ out.result.values), rel=1e-12)
+        t_emb = np.concatenate([t / 0.5, np.zeros(4)])
+        assert out.result.error_regularized == pytest.approx(
+            0.5 * l2_norm(t_emb - regularize(x_hat, 0.2) @ out.result.v), rel=1e-12)
+        # the routes are compared unclamped: the GPTQ route keeps its
+        # out-of-range entries and still agrees
+        np.testing.assert_array_equal(out.v_gptq_route, free.v_gptq_route)
+        assert np.abs(out.v_gptq_route).max() > 2
+        assert out.routes_agree
+
+
+class TestCrossLayerMatrix:
+    """quantize_matrix with x_target against per-row cross_layer_target on
+    a 3-layer ReLU chain."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    @pytest.mark.parametrize("algorithm", ["gptq", "babai"])
+    def test_chain_matches_per_row_wrapper(self, algorithm, mu):
+        rng = np.random.default_rng(79)
+        n, alpha = 6, 0.25
+        x = x_hat = rng.standard_normal((48, n))
+        cfg = QuantConfig(mu=mu, alpha=alpha, algorithm=algorithm)
+        for _ in range(3):
+            weights = rng.standard_normal((n, n)) * np.sqrt(2.0 / n)
+            v, rep = quantize_matrix(weights, x_hat, cfg, x_target=x)
+            rows = [cross_layer_target(x, x_hat, w, cfg).result for w in weights]
+            np.testing.assert_array_equal(v, np.array([r.v for r in rows]))
+            np.testing.assert_allclose(rep.row_errors, [r.error_l2 for r in rows], rtol=1e-12)
+            np.testing.assert_allclose(rep.row_errors_regularized,
+                                       [r.error_regularized for r in rows], rtol=1e-12)
+            if algorithm == "babai":  # the wrapper's sweep
+                np.testing.assert_array_equal(rep.step_coeffs,
+                                              np.array([r.step_coeffs for r in rows]))
+            x, x_hat = relu(x @ weights.T), relu(x_hat @ (alpha * v).T)
 
 
 def conditioned_instance(seed: int, decade: int, k: int = 64, n: int = 32):
@@ -479,7 +582,7 @@ class TestGramRoute:
         sb = solver_basis(x, 0.0)
         np.testing.assert_array_equal(sb.l_inv, invert_lower_triangular(sb.l))
 
-    @pytest.mark.parametrize("call", ["gptq", "babai", "cross_layer_target"])
+    @pytest.mark.parametrize("call", ["gptq", "babai", "cross_layer_target", "x_target"])
     def test_each_factorization_is_inverted_once(self, call, monkeypatch):
         rng = np.random.default_rng(71)
         x = rng.standard_normal((320, 80))
@@ -495,6 +598,8 @@ class TestGramRoute:
         monkeypatch.setattr(latquant.linalg, "_diagonal_block_inverses", counting)
         if call == "cross_layer_target":
             cross_layer_target(x, x + 0.01 * rng.standard_normal(x.shape), weights[0])
+        elif call == "x_target":
+            quantize_matrix(weights, x, x_target=x + 0.01 * rng.standard_normal(x.shape))
         else:
             quantize_matrix(weights, x, QuantConfig(algorithm=call))
         assert calls == [(80, 80)]

@@ -92,6 +92,23 @@ class TestLllReduce:
         red = lll_reduce(LatticeBasis(worked_basis))
         assert red.basis_red.shape == (2, 2)
 
+    def test_large_finite_data(self, worked_basis):
+        # the Gram-Schmidt dot products of ~1e160 data overflow; the
+        # reduction runs scaled and finds the unscaled run's transform
+        ref = lll_reduce(worked_basis)
+        red = lll_reduce(1e160 * worked_basis)
+        np.testing.assert_array_equal(red.u, ref.u)
+        np.testing.assert_allclose(red.basis_red, 1e160 * ref.basis_red, rtol=0, atol=1e148)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_power_of_two_scaling_changes_no_bit(self, seed):
+        basis = random_basis(seed)
+        ref = lll_reduce(basis)
+        for factor in (2.0 ** -300, 2.0 ** 300):
+            red = lll_reduce(factor * basis)
+            np.testing.assert_array_equal(red.u, ref.u)
+            np.testing.assert_array_equal(red.basis_red, factor * ref.basis_red)
+
 
 def _lll_columns_full_redo(b, u, delta):
     """Reference LLL loop that redoes the whole Gram-Schmidt basis after
