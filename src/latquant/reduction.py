@@ -7,6 +7,20 @@ back afterwards.  That way the reduced basis feeds straight into the
 nearest-plane / sequential solvers and its diag(L) profile is the one
 the reduction actually controlled.
 
+The Gram-Schmidt data lives in two arrays taken from one QL factorization
+of the basis: the coefficients mu (unit lower triangular, n x n) and the
+squared Gram-Schmidt norms B (n).  Size reduction is a row update of mu
+and a swap an O(n) update of both (Cohen, A Course in Computational
+Algebraic Number Theory, Alg. 2.6.3), so no step forms a dot product of
+basis vectors.  The decisions come in the textbook order: size-reduce
+mu[k, j] for j = k-1 .. 0, rounding half to even, then the Lovasz test
+on B[k]; each q and each swap is applied to the basis with the same float
+operations as a loop that recomputes Gram-Schmidt from the basis vectors,
+so where the decisions match, basis_red matches that loop's bit for bit.
+The updates accumulate rounding, so the result is checked against a
+fresh factorization and the reduction restarted from the current basis
+where the check fails (Schnorr & Euchner 1994).
+
 The change-of-basis matrix u is tracked in exact (arbitrary-precision)
 integer arithmetic; only the Gram-Schmidt data is floating point.
 """
@@ -18,11 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import IntegerOverflow, LatticeBasis, round_half_even
-from .linalg import _ql_factors, check_matrix, power_of_two_scale, ql_decompose
+from .linalg import _ql_factors, check_matrix, power_of_two_scale
 
 DEFAULT_DELTA = 0.99
 
 _INT64_MAX = np.iinfo(np.int64).max
+
+# map_solution multiplies in int64 when max|v_red| * max_i sum_j |u_ij|,
+# computed in float, is at most this: below 2^53 every partial sum of that
+# bound is an exact integer in float, and int64 has 2^10 to spare.
+_INT64_SAFE_BOUND = 2.0 ** 53
 
 # Exact determinant check is done in integer arithmetic up to this size.
 _EXACT_DET_MAX = 12
@@ -40,49 +59,86 @@ class ReducedBasis:
     delta: float
 
 
-def _gram_schmidt(b: np.ndarray) -> np.ndarray:
-    """Unnormalized Gram-Schmidt of the columns of b, in order."""
-    gs = np.array(b, dtype=float)
-    for i in range(1, b.shape[1]):
-        for j in range(i):
-            gj = gs[:, j]
-            gs[:, i] -= ((gs[:, i] @ gj) / (gj @ gj)) * gj
-    return gs
+def _gram_schmidt_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mu and B of the rows of `rows`, in order, from one QL factorization:
+    row i is sum_j mu[i, j] g_j with g_j the Gram-Schmidt vectors and
+    B[j] = |g_j|^2.  Raises RankDeficient on dependent rows."""
+    # QL of the rows taken last first is QR of the rows in order: R = L reversed
+    r = _ql_factors(rows[::-1].T).l[::-1, ::-1]
+    d = np.diag(r)
+    return np.ascontiguousarray((r / d[:, None]).T), d * d
+
+
+def _lll_pass(b: np.ndarray, u: np.ndarray, delta: float) -> bool:
+    """One run of LLL on the rows of b from a fresh factorization,
+    mirroring every row operation on u; both are modified in place.
+    Returns whether any row changed.
+
+    At row k the coefficients mu[k, j] are size-reduced for j = k-1 .. 0,
+    each rounded half to even (only those with |mu[k, j]| > 1/2 round to a
+    nonzero q); then the Lovasz test B[k] >= (delta - mu[k, k-1]^2) B[k-1]
+    either accepts row k or swaps rows k-1 and k."""
+    n = b.shape[0]
+    mu, norms2 = _gram_schmidt_arrays(b)
+    at = list(range(n))  # vector k is row at[k] of b and u: swaps move no rows
+    changed = False
+    k = 1
+    while k < n:
+        j = k
+        while True:
+            big = np.flatnonzero(np.abs(mu[k, :j]) > 0.5)
+            if not big.size:
+                break
+            j = int(big[-1])
+            q = round_half_even(mu[k, j])
+            b[at[k]] -= q * b[at[j]]
+            u[at[k]] -= q * u[at[j]]
+            mu[k, :j] -= q * mu[j, :j]
+            mu[k, j] -= q
+            changed = True
+        m = float(mu[k, k - 1])
+        if norms2[k] >= (delta - m * m) * norms2[k - 1]:
+            k += 1
+            continue
+        at[k - 1], at[k] = at[k], at[k - 1]
+        mu[[k - 1, k], : k - 1] = mu[[k, k - 1], : k - 1]
+        swapped = norms2[k] + m * m * norms2[k - 1]
+        mu[k, k - 1] = m * norms2[k - 1] / swapped
+        norms2[k] = norms2[k - 1] * norms2[k] / swapped
+        norms2[k - 1] = swapped
+        below = mu[k + 1 :, k].copy()
+        mu[k + 1 :, k] = mu[k + 1 :, k - 1] - m * below
+        mu[k + 1 :, k - 1] = below + mu[k, k - 1] * mu[k + 1 :, k]
+        changed = True
+        k = max(k - 1, 1)
+    b[:] = b[at]
+    u[:] = u[at]
+    return changed
 
 
 def _lll_columns(b: np.ndarray, u: np.ndarray, delta: float) -> None:
-    """Standard LLL on the columns of b, mirroring every column operation
-    on u.  b is float, u is exact-integer (object dtype); both are
-    modified in place."""
-    n = b.shape[1]
-    gs = _gram_schmidt(b)
-    k = 1
-    while k < n:
-        for j in range(k - 1, -1, -1):
-            gj = gs[:, j]
-            mu_kj = (b[:, k] @ gj) / (gj @ gj)
-            q = round_half_even(mu_kj)
-            if q != 0:
-                b[:, k] -= q * b[:, j]
-                u[:, k] -= q * u[:, j]
-        # b_k orthogonalized against g_0..g_{k-2}: if b_{k-1} and b_k swap,
-        # this is the new Gram-Schmidt vector k-1, and 0..k-2 stay as they are
-        head = b[:, k].copy()
-        for j in range(k - 1):
-            gj = gs[:, j]
-            head -= ((head @ gj) / (gj @ gj)) * gj
-        gk1 = gs[:, k - 1]
-        proj = head - ((head @ gk1) / (gk1 @ gk1)) * gk1
-        mu_kk1 = (b[:, k] @ gk1) / (gk1 @ gk1)
-        if proj @ proj >= (delta - mu_kk1 ** 2) * (gk1 @ gk1):
-            gs[:, k] = proj
-            k += 1
-        else:
-            # vector k is recomputed before it is read again
-            b[:, [k - 1, k]] = b[:, [k, k - 1]]
-            u[:, [k - 1, k]] = u[:, [k, k - 1]]
-            gs[:, k - 1] = head
-            k = max(k - 1, 1)
+    """delta-LLL on the columns of b, mirroring every column operation on
+    u.  b is float, u is exact-integer (object dtype); both are modified in
+    place.
+
+    The work runs on contiguous copies that hold the columns as rows
+    (_lll_pass), with the same float operations on b as a column loop.
+    Once a pass ends, is_lll_reduced checks the result on a fresh
+    factorization.  Where that fails, the updated mu and B had drifted
+    from the basis, and the reduction restarts from the current basis; a
+    pass that changes nothing and still fails cannot be mended that way
+    and raises RuntimeError.  Raises RankDeficient on dependent columns."""
+    rows_b = np.ascontiguousarray(b.T)
+    rows_u = np.ascontiguousarray(u.T)
+    while True:
+        changed = _lll_pass(rows_b, rows_u, delta)
+        if is_lll_reduced(rows_b[::-1].T, delta):
+            break
+        if not changed:
+            raise RuntimeError("LLL did not settle: the Gram-Schmidt data of the "
+                               "basis is too inexact in float64")
+    b[:] = rows_b.T
+    u[:] = rows_u.T
 
 
 def lll_reduce(basis, delta: float = DEFAULT_DELTA) -> ReducedBasis:
@@ -90,16 +146,16 @@ def lll_reduce(basis, delta: float = DEFAULT_DELTA) -> ReducedBasis:
     the exact unimodular transform with basis_red = basis @ u.
 
     The reduction runs on the basis divided by a power of two near its
-    largest entry, so the Gram-Schmidt dot products of large data do not
+    largest entry, so the Gram-Schmidt data of large data does not
     overflow; for data in the normal range that changes no decision and no
-    bit of basis_red."""
+    bit of basis_red.  Its one starting factorization rejects dependent
+    columns with RankDeficient."""
     if not 0.25 < delta < 1.0:
         raise ValueError(f"delta must be in (0.25, 1), got {delta}")
     if isinstance(basis, LatticeBasis):
         b0 = basis.basis
     else:
         b0 = check_matrix(basis, "basis")
-        ql_decompose(b0)  # reject dependent columns up front
     n = b0.shape[1]
 
     scale = power_of_two_scale(b0)
@@ -117,14 +173,30 @@ def lll_reduce(basis, delta: float = DEFAULT_DELTA) -> ReducedBasis:
     return ReducedBasis(basis_red=basis_red, u=u_full, delta=delta)
 
 
+def _fits_int64(u: np.ndarray, v_red: np.ndarray) -> bool:
+    """Whether v_red @ u.T provably fits int64 at every partial sum:
+    |sum_j u_ij v_rj| <= max|v_red| * max_i sum_j |u_ij| <= _INT64_SAFE_BOUND."""
+    try:
+        with np.errstate(over="ignore"):
+            u_sum = float(np.abs(np.asarray(u, dtype=float)).sum(axis=1).max(initial=0.0))
+            v_max = float(np.abs(np.asarray(v_red, dtype=float)).max(initial=0.0))
+    except OverflowError:  # a Python int past the float range
+        return False
+    return (u_sum <= _INT64_SAFE_BOUND and v_max <= _INT64_SAFE_BOUND
+            and u_sum * v_max <= _INT64_SAFE_BOUND)
+
+
 def map_solution(u: np.ndarray, v_red) -> np.ndarray:
-    """Map a solution on the reduced basis back: v = u @ v_red, in exact
-    integer arithmetic.  v_red is one vector or a matrix of row vectors.
-    Raises IntegerOverflow instead of wrapping."""
-    v_red = np.array(v_red, dtype=object)
+    """Map a solution on the reduced basis back: v = u @ v_red, exactly.
+    v_red is one vector or a matrix of row vectors.  The product runs in
+    int64 where no partial sum can overflow, and in exact Python integers
+    otherwise.  Raises IntegerOverflow instead of wrapping."""
+    v_red = np.asarray(v_red)
     if u.shape[1] != v_red.shape[-1]:
         raise ValueError(f"u is {u.shape}, v_red has length {v_red.shape[-1]}")
-    exact = v_red @ np.array(u, dtype=object).T
+    if _fits_int64(u, v_red):
+        return v_red.astype(np.int64) @ np.asarray(u, dtype=np.int64).T
+    exact = np.array(v_red, dtype=object) @ np.array(u, dtype=object).T
     for s in exact.flat:
         if abs(s) > _INT64_MAX:
             raise IntegerOverflow(s)
@@ -163,19 +235,14 @@ def unimodular_det(u: np.ndarray) -> float:
 
 
 def is_lll_reduced(basis_red: np.ndarray, delta: float, tol: float = 1e-9) -> bool:
-    """Check size reduction (|mu_ij| <= 1/2) and the delta condition on
-    adjacent pairs, in the orientation the reduction ran in."""
-    b = np.array(basis_red[:, ::-1], dtype=float)
-    gs = _gram_schmidt(b)
-    n = b.shape[1]
-    norms2 = np.einsum("ij,ij->j", gs, gs)
-    for i in range(n):
-        for j in range(i):
-            mu_ij = (b[:, i] @ gs[:, j]) / norms2[j]
-            if abs(mu_ij) > 0.5 + tol:
-                return False
-    for k in range(1, n):
-        mu = (b[:, k] @ gs[:, k - 1]) / norms2[k - 1]
-        if norms2[k] < (delta - mu ** 2) * norms2[k - 1] - tol * norms2[k - 1]:
-            return False
-    return True
+    """Check size reduction (|mu_ij| <= 1/2 + tol) and the delta condition
+    on adjacent pairs (B_k >= (delta - mu_k,k-1^2 - tol) B_k-1), in the
+    orientation the reduction ran in, on the mu and B of one QL
+    factorization of the basis divided by a power of two.  Raises
+    RankDeficient on dependent columns."""
+    b = check_matrix(basis_red, "basis_red")
+    mu, norms2 = _gram_schmidt_arrays(b[:, ::-1].T / power_of_two_scale(b))
+    if np.any(np.abs(np.tril(mu, -1)) > 0.5 + tol):
+        return False
+    adjacent = np.diagonal(mu, -1)
+    return not np.any(norms2[1:] < (delta - adjacent ** 2) * norms2[:-1] - tol * norms2[:-1])

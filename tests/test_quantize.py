@@ -561,8 +561,7 @@ class TestGramRoute:
             calls.append(args)
             return ql_decompose(*args, **kwargs)
 
-        for module in (latquant.linalg, latquant.lattice, latquant.quantize,
-                       latquant.reduction):
+        for module in (latquant.linalg, latquant.lattice, latquant.quantize):
             monkeypatch.setattr(module, "ql_decompose", counting)
         rng = np.random.default_rng(67)
         x = rng.standard_normal((1024, 64))

@@ -10,7 +10,8 @@ from latquant.lattice import (
     babai_nearest_plane,
     round_half_even,
 )
-from latquant.linalg import ql_decompose
+from latquant.linalg import RankDeficient, ql_decompose
+from latquant.quantize import regularize, resolve_mu
 from latquant.reduction import (
     IntegerOverflow,
     is_lll_reduced,
@@ -110,11 +111,22 @@ class TestLllReduce:
             np.testing.assert_array_equal(red.basis_red, factor * ref.basis_red)
 
 
+def _gram_schmidt(b):
+    """Unnormalized Gram-Schmidt of the columns of b, in order."""
+    gs = np.array(b, dtype=float)
+    for i in range(1, b.shape[1]):
+        for j in range(i):
+            gj = gs[:, j]
+            gs[:, i] -= ((gs[:, i] @ gj) / (gj @ gj)) * gj
+    return gs
+
+
 def _lll_columns_full_redo(b, u, delta):
-    """Reference LLL loop that redoes the whole Gram-Schmidt basis after
+    """Reference LLL loop that recomputes Gram-Schmidt from the basis
+    vectors: every coefficient as a dot product, the whole basis after
     every swap."""
     n = b.shape[1]
-    gs = reduction._gram_schmidt(b)
+    gs = _gram_schmidt(b)
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
@@ -135,7 +147,7 @@ def _lll_columns_full_redo(b, u, delta):
         else:
             b[:, [k - 1, k]] = b[:, [k, k - 1]]
             u[:, [k - 1, k]] = u[:, [k, k - 1]]
-            gs = reduction._gram_schmidt(b)
+            gs = _gram_schmidt(b)
             k = max(k - 1, 1)
 
 
@@ -148,16 +160,38 @@ def equivalence_lattice(seed):
     return np.rint(b) if seed % 3 == 0 else b
 
 
+def lll40_lattice():
+    """The lattice of perfbench's lll-40 workload: X = Z G with Z (160 x 40)
+    and G (40 x 40) i.i.d. N(0, 1), regularized with mu = auto."""
+    rng = np.random.default_rng(2508)
+    z = rng.standard_normal((160, 40))
+    x = z @ rng.standard_normal((40, 40))
+    return regularize(x, resolve_mu(x, "auto"))
+
+
+def conditioned_lattice(cond, n=16):
+    """X = Z G, unregularized, with Z (4n x n) i.i.d. N(0, 1) and G of
+    condition number cond."""
+    rng = np.random.default_rng(int(np.log10(cond)))
+    z = rng.standard_normal((4 * n, n))
+    left, _, right = np.linalg.svd(rng.standard_normal((n, n)))
+    return z @ (left @ np.diag(np.logspace(0, np.log10(cond), n)) @ right)
+
+
+def reference_reduction(basis, delta, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(reduction, "_lll_columns", _lll_columns_full_redo)
+        return lll_reduce(basis, delta)
+
+
 class TestSwapUpdate:
-    """The one-column Gram-Schmidt update after a swap reduces exactly as
-    a full redo does."""
+    """The array kernel reduces exactly as a loop that recomputes
+    Gram-Schmidt from the basis vectors does."""
 
     @staticmethod
     def assert_same_reduction(basis, delta, monkeypatch):
         fast = lll_reduce(basis, delta)
-        with monkeypatch.context() as patch:
-            patch.setattr(reduction, "_lll_columns", _lll_columns_full_redo)
-            slow = lll_reduce(basis, delta)
+        slow = reference_reduction(basis, delta, monkeypatch)
         assert np.array_equal(fast.basis_red.view(np.uint64), slow.basis_red.view(np.uint64))
         assert fast.u.tolist() == slow.u.tolist()
 
@@ -168,6 +202,138 @@ class TestSwapUpdate:
     @pytest.mark.parametrize("delta", [0.5, 0.75, 0.99])
     def test_worked_basis(self, worked_basis, delta, monkeypatch):
         self.assert_same_reduction(worked_basis, delta, monkeypatch)
+
+    def test_lll40_lattice(self, monkeypatch):
+        self.assert_same_reduction(lll40_lattice(), 0.99, monkeypatch)
+
+    @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])
+    def test_conditioned_lattices(self, cond, monkeypatch):
+        self.assert_same_reduction(conditioned_lattice(cond), 0.99, monkeypatch)
+
+
+class TestArrayKernel:
+    @pytest.mark.parametrize("seed, delta", [(27, 0.5), (3, 0.75)])
+    def test_exact_ties_reduce_either_way(self, seed, delta, monkeypatch):
+        # integer lattices where a coefficient or a Lovasz test sits exactly
+        # on its threshold: the kernel and the reference may round the tie
+        # apart, and both results are reduced bases of the same lattice
+        basis = equivalence_lattice(seed)
+        det = abs(np.prod(ql_decompose(basis).diag))
+        for red in (lll_reduce(basis, delta), reference_reduction(basis, delta, monkeypatch)):
+            assert is_lll_reduced(red.basis_red, delta)
+            assert abs(np.prod(ql_decompose(red.basis_red).diag)) == pytest.approx(det, rel=1e-9)
+
+    def test_layer_width(self):
+        rng = np.random.default_rng(96)
+        x = rng.standard_normal((4 * 96, 96))
+        red = lll_reduce(regularize(x, resolve_mu(x, "auto")))
+        assert is_lll_reduced(red.basis_red, red.delta)
+        assert abs(abs(unimodular_det(red.u)) - 1.0) <= 1e-6
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ill_conditioned_lattice_raises_no_float_warning(self):
+        red = lll_reduce(conditioned_lattice(1e6))
+        assert is_lll_reduced(red.basis_red, red.delta)
+
+    def test_dependent_columns_rejected(self):
+        with pytest.raises(RankDeficient):
+            lll_reduce([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+
+    def test_input_factored_once(self, worked_basis, monkeypatch):
+        # one factorization to start from, one to check the result: the
+        # start is also the rank check
+        calls = []
+        factor = reduction._ql_factors
+
+        def counting(x):
+            calls.append(x)
+            return factor(x)
+
+        monkeypatch.setattr(reduction, "_ql_factors", counting)
+        lll_reduce(worked_basis)
+        assert len(calls) == 2
+
+    def test_failed_check_restarts_from_current_basis(self, worked_basis, monkeypatch):
+        ref = lll_reduce(worked_basis)
+        passes, checks = [], []
+        run_pass, check = reduction._lll_pass, reduction.is_lll_reduced
+
+        def recording_pass(b, u, delta):
+            passes.append(b.copy())
+            return run_pass(b, u, delta)
+
+        def failing_once(b, delta):
+            checks.append(b)
+            return len(checks) > 1 and check(b, delta)
+
+        monkeypatch.setattr(reduction, "_lll_pass", recording_pass)
+        monkeypatch.setattr(reduction, "is_lll_reduced", failing_once)
+        red = lll_reduce(worked_basis)
+        assert len(passes) == 2 and len(checks) == 2
+        # the restart starts from the basis the first pass left, which the
+        # kernel holds as rows in reduction order and divided by 4, the power
+        # of two below the largest entry
+        np.testing.assert_array_equal(passes[1], ref.basis_red[:, ::-1].T / 4)
+        np.testing.assert_array_equal(red.basis_red, ref.basis_red)
+        assert red.u.tolist() == ref.u.tolist()
+
+    @pytest.mark.parametrize("basis", [np.diag([2.0, 3.0]), np.array([[3.0, 5.0], [1.0, 2.0]])])
+    def test_check_that_never_passes_raises(self, basis, monkeypatch):
+        # a pass that changes nothing and still fails the check cannot be
+        # mended by a restart
+        monkeypatch.setattr(reduction, "is_lll_reduced", lambda b, delta: False)
+        with pytest.raises(RuntimeError, match="did not settle"):
+            lll_reduce(basis)
+
+
+def _is_lll_reduced_by_dot_products(basis_red, delta, tol=1e-9):
+    """The reducedness check as dot products against classical Gram-Schmidt."""
+    b = np.array(basis_red[:, ::-1], dtype=float)
+    gs = _gram_schmidt(b)
+    n = b.shape[1]
+    norms2 = np.einsum("ij,ij->j", gs, gs)
+    for i in range(n):
+        for j in range(i):
+            if abs((b[:, i] @ gs[:, j]) / norms2[j]) > 0.5 + tol:
+                return False
+    for k in range(1, n):
+        mu = (b[:, k] @ gs[:, k - 1]) / norms2[k - 1]
+        if norms2[k] < (delta - mu ** 2) * norms2[k - 1] - tol * norms2[k - 1]:
+            return False
+    return True
+
+
+class TestIsLllReduced:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_agrees_with_dot_product_definition(self, seed):
+        basis = random_basis(40_000 + seed, n_max=12)
+        for delta in (0.5, 0.99):
+            for b in (basis, lll_reduce(basis, delta).basis_red):
+                assert is_lll_reduced(b, delta) == _is_lll_reduced_by_dot_products(b, delta)
+
+    def test_rejects_the_worked_basis(self, worked_basis):
+        assert not _is_lll_reduced_by_dot_products(worked_basis, 0.75)
+        assert not is_lll_reduced(worked_basis, 0.75)
+
+    # columns in reverse: the reduction orientation reads (1, 0) first, then
+    # (mu, norm), so mu_10 = mu and B_1 = norm^2
+    @pytest.mark.parametrize("mu, norm, reduced", [
+        (0.6, 1.0, False),          # one |mu| > 1/2, the Lovasz condition holds
+        (-0.6, 1.0, False),
+        (0.5, 1.0, True),           # on the bound
+        (0.5 + 5e-10, 1.0, True),   # within the tolerance
+        (0.5 + 1e-8, 1.0, False),
+        (0.4, 0.5, False),          # size-reduced, Lovasz fails
+    ])
+    def test_two_dimensional_cases(self, mu, norm, reduced):
+        basis = np.array([[mu, 1.0], [norm, 0.0]])
+        assert _is_lll_reduced_by_dot_products(basis, 0.99) is reduced
+        assert is_lll_reduced(basis, 0.99) is reduced
+
+    def test_large_finite_data(self, worked_basis):
+        red = lll_reduce(worked_basis).basis_red
+        assert is_lll_reduced(1e160 * red, 0.99)
+        assert not is_lll_reduced(1e160 * worked_basis, 0.99)
 
 
 class TestMapSolution:
@@ -181,13 +347,34 @@ class TestMapSolution:
 
     def test_exact_for_wide_intermediates(self):
         u = np.array([[2 ** 40, 1], [0, 1]], dtype=object)
+        assert not reduction._fits_int64(u, np.array([2 ** 20, 5]))
         out = map_solution(u, [2 ** 20, 5])
         assert out[0] == 2 ** 60 + 5
 
     def test_overflow_reported(self):
         u = np.array([[2 ** 40]], dtype=object)
+        assert not reduction._fits_int64(u, np.array([2 ** 40]))
         with pytest.raises(IntegerOverflow):
             map_solution(u, [2 ** 40])
+
+    def test_entries_past_the_float_range_take_the_exact_path(self):
+        u = np.array([[10 ** 400, 1], [0, 1]], dtype=object)
+        assert not reduction._fits_int64(u, np.array([0, 3]))
+        np.testing.assert_array_equal(map_solution(u, [0, 3]), [3, 3])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_int64_and_exact_paths_agree(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n, m = (int(d) for d in rng.integers(1, 40, 2))
+        u = rng.integers(-1000, 1001, (n, n)).astype(object)
+        v_red = rng.integers(-2 ** 20, 2 ** 20, (m, n))
+        assert reduction._fits_int64(u, v_red)
+        fast = map_solution(u, v_red)
+        monkeypatch.setattr(reduction, "_fits_int64", lambda u, v_red: False)
+        exact = map_solution(u, v_red)
+        assert fast.dtype == exact.dtype == np.int64
+        np.testing.assert_array_equal(fast, exact)
+        np.testing.assert_array_equal(map_solution(u, v_red[0]), exact[0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -13,16 +13,26 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["run_equivalence_sweep.py", "run_lll_payoff.py"])
-def test_script_runs(script):
+def run_script(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--instances", "20", "--max-n", "6"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+@pytest.mark.parametrize("script", ["run_equivalence_sweep.py", "run_lll_payoff.py"])
+def test_script_runs(script):
+    proc = run_script(script, "--instances", "20", "--max-n", "6")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_lll_payoff_runs_at_larger_n():
+    proc = run_script("run_lll_payoff.py", "--instances", "5", "--max-n", "48")
+    assert proc.returncode == 0, proc.stderr
+    assert "instances: 5  (n <= 48" in proc.stdout
 
 
 def test_chain_job_runs(tmp_path, monkeypatch):
