@@ -24,7 +24,13 @@ from .lattice import (
 )
 from .linalg import NotPositiveDefinite, RankDeficient, l2_norm, ql_decompose
 from .matio import ParseError, RaggedRows, load_matrix_csv, save_matrix_csv
-from .quantize import QuantConfig, quantize_matrix, scaled_quantize, solver_basis
+from .quantize import (
+    QuantConfig,
+    cached_solver_basis,
+    quantize_matrix,
+    scaled_quantize,
+    solver_basis,
+)
 from .reduction import DEFAULT_DELTA, lll_reduce, map_solution
 from .report import Report
 
@@ -170,7 +176,7 @@ def _cmd_compare(args) -> int:
 
     x, w, results = last
     ref = results["gptq"]
-    sb = solver_basis(x, cfg.mu)
+    sb = cached_solver_basis(x, cfg.mu)  # the last instance's, factored above
     abs_bound = absolute_error_bound(np.diag(sb.l))
     gamma = relative_error_factor(np.diag(sb.l))
     report = Report(

@@ -122,17 +122,16 @@ def nearest_plane_rows(l: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.nda
     Row r of p holds the data-space coordinates Q^T t of target r.  Step
     i rounds the coefficient p_i / L_ii and subtracts v_i times column i
     of X, whose coordinates are L[:, i]; the coordinates along Q_{>i} are
-    all a later step reads.  Every operation is elementwise, so a row's
-    bits do not depend on the other rows.  Returns the integer rows v and
-    the pre-rounding coefficients."""
-    p = np.array(p, dtype=float)
-    v = np.empty_like(p)
-    coeffs = np.empty_like(p)
-    for i in range(p.shape[1]):
-        coeffs[:, i] = c = p[:, i] / l[i, i]
-        v[:, i] = np.rint(c)
-        p[:, i + 1 :] -= np.outer(v[:, i], l[i + 1 :, i])
-    return rows_to_int64(v), coeffs
+    all a later step reads, so column i is free to hold the coefficient.
+    Every operation is elementwise, so a row's bits do not depend on the
+    other rows.  Returns the integer rows v and the pre-rounding
+    coefficients."""
+    coeffs = np.array(p, dtype=float)
+    l_cols = np.ascontiguousarray(l.T)  # row i holds column i of L
+    for i in range(coeffs.shape[1]):
+        coeffs[:, i] /= l[i, i]
+        coeffs[:, i + 1 :] -= np.rint(coeffs[:, i])[:, None] * l_cols[i, i + 1 :]
+    return rows_to_int64(np.rint(coeffs)), coeffs
 
 
 def babai_nearest_plane(basis: LatticeBasis, w,

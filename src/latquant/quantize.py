@@ -20,7 +20,9 @@ the one solve path: it factors once (linalg.gram_factor's Cholesky of the
 Gram matrix, or QR of the basis when that is too ill-conditioned), inverts
 L once, and runs one O(m n^2) sweep over the columns for all m rows.
 The single-row functions run the same kernels on one row, and
-cross_layer_target is its one-row wrapper.
+cross_layer_target is its one-row wrapper.  Called once per row of a
+layer, they share one factorization: cached_solver_basis keeps the last
+lattice factored and hands it back while x and mu stay the same.
 
 Rank-deficient calibration data (in particular k < n) is handled by
 stacking mu * I under X, which adds mu^2 to every eigenvalue of X^T X;
@@ -190,26 +192,58 @@ def solver_basis(x, mu: float | str, reduce_delta: float | None = None) -> Solve
     return SolverBasis(x, x_solver, mu, basis, *factor, u)
 
 
+# The last basis cached_solver_basis factored: (key, private copy of x,
+# basis).  It is one tuple, replaced whole, so a reader never pairs one
+# call's key with another call's basis.
+_last_basis: tuple | None = None
+
+
+def cached_solver_basis(x, mu: float | str) -> SolverBasis:
+    """solver_basis(x, mu) through a one-entry memo, for the one-row entry
+    points that run once per row of a layer.  A call with the configured
+    mu, the shape, the memory order and the bits of x of the previous call
+    gets that call's basis back; any other call factors again.  The basis
+    is built on a private copy of x and its arrays are read-only, so no
+    write to the caller's array or to the result can reach the memo.  An x
+    that is neither C- nor F-contiguous is not memoized, since a
+    contiguous copy could change the bits of its products.  A hit repeats
+    no warning that the factorization issued."""
+    global _last_basis
+    x = check_matrix(x, "x")
+    key = (mu if isinstance(mu, str) else float(mu).hex(), x.shape, x.flags.c_contiguous)
+    last = _last_basis
+    if (last is not None and last[0] == key
+            and np.array_equal(last[1].view(np.uint64), x.view(np.uint64))):
+        return last[2]
+    if not (x.flags.c_contiguous or x.flags.f_contiguous):
+        return solver_basis(x, mu)
+    x = np.copy(x)  # order "K": the same memory order as the caller's
+    sb = solver_basis(x, mu)
+    for a in (sb.x, sb.x_solver, sb.basis, sb.l, sb.l_inv):
+        a.setflags(write=False)
+    _last_basis = key, x, sb
+    return sb
+
+
 def _gptq_rows(l_inv: np.ndarray, w: np.ndarray,
                history: list[np.ndarray] | None = None):
     """The sequential loop for the rows of w at once: round column i,
     then shift the remaining coordinates along column i of L^-1 so the
-    already-fixed ones are untouched.  Column i is assigned v_i directly,
-    which is what the update does in exact arithmetic; this keeps the
-    stabilized coordinates exactly integer.  history, when given,
-    collects the first row's w^(0) .. w^(n)."""
-    w = np.array(w, dtype=float)
-    coeffs = np.empty_like(w)
+    already-fixed ones are untouched.  No later step reads column i, so
+    the working array ends up holding the pre-rounding coefficients and v
+    is their rounding (in exact arithmetic the update would set column i
+    to v_i).  history, when given, collects the first row's
+    w^(0) .. w^(n), whose first i entries are v_1 .. v_i."""
+    coeffs = np.array(w, dtype=float)
+    l_inv_cols = np.ascontiguousarray(l_inv.T)  # row i holds column i of L^-1
     if history is not None:
-        history.append(w[0].copy())
-    for i in range(w.shape[1]):
-        coeffs[:, i] = c = w[:, i].copy()
-        v = np.rint(c)
-        w[:, i + 1 :] += np.outer((v - c) / l_inv[i, i], l_inv[i + 1 :, i])
-        w[:, i] = v
+        history.append(coeffs[0].copy())
+    for i in range(coeffs.shape[1]):
+        c = coeffs[:, i]
+        coeffs[:, i + 1 :] += ((np.rint(c) - c) / l_inv[i, i])[:, None] * l_inv_cols[i, i + 1 :]
         if history is not None:
-            history.append(w[0].copy())
-    return rows_to_int64(w), coeffs
+            history.append(np.concatenate([np.rint(coeffs[0, : i + 1]), coeffs[0, i + 1 :]]))
+    return rows_to_int64(np.rint(coeffs)), coeffs
 
 
 def _recursive_rows(basis: np.ndarray, w: np.ndarray, variant: str):
@@ -274,7 +308,7 @@ def gptq_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
     of scaled_quantize / quantize_matrix).  With cfg.mu = 0 and
     rank-deficient x this raises RankDeficient; the fix is mu > 0.
     """
-    sb = solver_basis(x, cfg.mu)
+    sb = cached_solver_basis(x, cfg.mu)
     w = check_vector(w, sb.x.shape[1], "w")[None, :]
     history: list[np.ndarray] = []
     v, coeffs = _gptq_rows(sb.l_inv, w, history)
@@ -313,7 +347,8 @@ def scaled_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
     set, v is clipped coordinatewise after the sequential run and the
     errors are recomputed for the clipped vector."""
     w = check_vector(w, name="w")
-    v, rep = quantize_matrix(w[None, :], x, cfg)
+    weights, x, _ = _check_layer(w[None, :], x)
+    v, rep = _solve_rows(cached_solver_basis(x, cfg.mu), weights, cfg)[:2]
     return _one_row(v, rep, cfg.alpha, [j for _, j in rep.fragile])
 
 
@@ -356,6 +391,14 @@ def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
     coefficients are w / alpha.  row_errors are alpha ||t/alpha - X v||
     (for an in-span target alpha ||X (w/alpha - v)||), the regularized
     ones take X_solver, and each total is the root of the rows' squares."""
+    weights, x, x_target = _check_layer(weights, x, x_target)
+    sb = solver_basis(x, cfg.mu, reduce_delta)
+    t = None if x_target is None else _targets(x_target, weights)
+    return _solve_rows(sb, weights, cfg, t)[:2]
+
+
+def _check_layer(weights, x, x_target=None):
+    """Validate a layer's weights, calibration data and target data."""
     weights = check_matrix(weights, "weights")
     x = check_matrix(x, "x")
     if weights.shape[1] != x.shape[1]:
@@ -366,18 +409,25 @@ def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
         x_target = check_matrix(x_target, "x_target")
         if x_target.shape != x.shape:
             raise ValueError(f"x_target and x shapes differ: {x_target.shape} vs {x.shape}")
-    return _solve_rows(solver_basis(x, cfg.mu, reduce_delta), weights, cfg, x_target)[:2]
+    return weights, x, x_target
 
 
-def _solve_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig, x_target):
-    """quantize_matrix on the factored basis sb.  Also returns v before
+def _targets(source: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The target rows source @ w; one product per row keeps each row's
+    bits independent of m."""
+    return np.array([source @ w for w in weights])
+
+
+def _solve_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig,
+                t: np.ndarray | None = None):
+    """quantize_matrix on the factored basis sb, aiming the rows at the
+    target rows t (None: in the span, X_solver w).  Also returns v before
     the clamp and the rows' coefficients on the basis the solver ran on."""
     w_scaled = weights / cfg.alpha
-    w_basis, p, t = w_scaled, None, None
-    if x_target is not None or sb.u is not None:
-        # one product per row keeps each row's bits independent of m
-        source = sb.x_solver if x_target is None else x_target
-        t = np.array([source @ w for w in weights])
+    w_basis, p = w_scaled, None
+    if t is None and sb.u is not None:
+        t = _targets(sb.x_solver, weights)
+    if t is not None:
         p, w_basis = _pull_back(sb, t, cfg.alpha)
     if cfg.algorithm == "gptq":
         v, coeffs = _gptq_rows(sb.l_inv, w_basis)
@@ -434,15 +484,18 @@ def cross_layer_target(x, x_hat, w, cfg: QuantConfig = QuantConfig()) -> CrossLa
     On the same factorization it also runs the other route, the
     parameter-space loop on the least-squares pull-back w_hat, and
     compares the two before the clamp.  t is zero on the mu * I rows,
-    which keeps the routes exactly equivalent for every mu >= 0."""
+    which keeps the routes exactly equivalent for every mu >= 0.
+    Consecutive calls on the same x_hat and mu share one factorization
+    (cached_solver_basis)."""
     x = check_matrix(x, "x")
     x_hat = check_matrix(x_hat, "x_hat")
     if x.shape != x_hat.shape:
         raise ValueError(f"x and x_hat shapes differ: {x.shape} vs {x_hat.shape}")
     w = check_vector(w, x.shape[1], "w")
-    sb = solver_basis(x_hat, cfg.mu)
+    sb = cached_solver_basis(x_hat, cfg.mu)
+    t = x @ w
     v, rep, (v_b,), (w_hat,) = _solve_rows(
-        sb, w[None, :], dataclasses.replace(cfg, algorithm="babai"), x)
+        sb, w[None, :], dataclasses.replace(cfg, algorithm="babai"), t[None, :])
     (v_g,), (coeffs_g,) = _gptq_rows(sb.l_inv, w_hat[None, :])
     fragile = sorted({j for _, j in rep.fragile} | set(fragile_indices(coeffs_g, cfg.tie_tol)))
     result = _one_row(v, rep, cfg.alpha, fragile)
@@ -450,6 +503,6 @@ def cross_layer_target(x, x_hat, w, cfg: QuantConfig = QuantConfig()) -> CrossLa
     return CrossLayerResult(
         result=result, w_hat=w_hat, v_gptq_route=v_g,
         routes_agree=set(np.flatnonzero(v_b != v_g).tolist()) <= set(fragile),
-        off_span_residual=float(l2_norm(x @ w - projected)),
+        off_span_residual=float(l2_norm(t - projected)),
         projected_error=float(l2_norm(projected - x_hat @ result.values)),
     )

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
+import latquant.quantize
+
 # Integer basis of the plain square grid in the plane: columns (3,1) and
 # (5,2), determinant 1.  Small enough to trace by hand, skew enough to
 # make the greedy solver miss the optimum.
 WORKED = np.array([[3.0, 5.0], [1.0, 2.0]])
+
+
+@pytest.fixture(autouse=True)
+def fresh_basis_memo(monkeypatch):
+    """Every test starts with an empty cached_solver_basis memo, so no
+    factorization carries over from an earlier test."""
+    monkeypatch.setattr(latquant.quantize, "_last_basis", None)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import latquant.quantize
 from latquant.cli import main
 from latquant.lattice import LatticeBasis, babai_from_target
 from latquant.matio import load_matrix_csv, save_matrix_csv
@@ -278,6 +279,24 @@ class TestCompare:
 
     def test_needs_inputs(self, workdir, capsys):
         assert main(["compare"]) == 2
+
+    def test_file_based_run_factors_x_once(self, workdir, monkeypatch):
+        # four solvers per row and the report's bounds share one
+        # factorization; the recursive references factor only suffixes
+        rng = np.random.default_rng(11)
+        calib = write(workdir / "X.csv", rng.uniform(-1, 1, (12, 5)))
+        weights = write(workdir / "W.csv", rng.uniform(-2, 2, (4, 5)))
+        calls = []
+        gram_factor = latquant.quantize.gram_factor
+
+        def counting(h):
+            calls.append(h.shape)
+            return gram_factor(h)
+
+        monkeypatch.setattr(latquant.quantize, "gram_factor", counting)
+        assert main(["compare", "--weights", weights, "--calib", calib,
+                     "--report", str(workdir / "r.json")]) == 0
+        assert calls == [(5, 5)]
 
 
 class TestBounds:

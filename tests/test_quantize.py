@@ -13,6 +13,7 @@ from latquant.lattice import (
     babai_from_target,
     babai_nearest_plane,
     fragile_indices,
+    nearest_plane_rows,
     round_half_even,
 )
 from latquant.linalg import (
@@ -25,6 +26,8 @@ from latquant.linalg import (
 from latquant.quantize import (
     ALGORITHMS,
     QuantConfig,
+    _gptq_rows,
+    cached_solver_basis,
     cross_layer_target,
     gptq_quantize,
     gptq_quantize_recursive,
@@ -602,3 +605,231 @@ class TestGramRoute:
         else:
             quantize_matrix(weights, x, QuantConfig(algorithm=call))
         assert calls == [(80, 80)]
+
+
+def bits(a):
+    """The bytes of a as float64 or int64, for bit-for-bit comparisons."""
+    return np.atleast_1d(np.asarray(a)).view(np.uint8)
+
+
+def count_gram_factors(monkeypatch):
+    """Count quantize's gram_factor calls; returns the list of call shapes."""
+    calls = []
+
+    def counting(h):
+        calls.append(h.shape)
+        return gram_factor(h)
+
+    monkeypatch.setattr(latquant.quantize, "gram_factor", counting)
+    return calls
+
+
+def assert_same_cross_layer(got, want):
+    for a, b in ((got.result.v, want.result.v), (got.result.values, want.result.values),
+                 (got.result.error_l2, want.result.error_l2),
+                 (got.result.error_regularized, want.result.error_regularized),
+                 (got.result.step_coeffs, want.result.step_coeffs),
+                 (got.w_hat, want.w_hat), (got.v_gptq_route, want.v_gptq_route),
+                 (got.off_span_residual, want.off_span_residual),
+                 (got.projected_error, want.projected_error)):
+        np.testing.assert_array_equal(bits(a), bits(b))
+    assert got.result.fragile == want.result.fragile
+    assert got.result.w_history == want.result.w_history is None
+    assert got.routes_agree == want.routes_agree
+
+
+class TestBasisMemo:
+    """cross_layer_target and the one-row wrappers share one factorization
+    across calls on the same lattice, through cached_solver_basis."""
+
+    def fresh(self, monkeypatch, *args):
+        monkeypatch.setattr(latquant.quantize, "_last_basis", None)
+        return cross_layer_target(*args)
+
+    @pytest.mark.parametrize("mu", ["auto", 0.0])
+    def test_relu_chain_is_bit_identical_to_a_fresh_factorization_per_row(
+            self, mu, monkeypatch):
+        rng = np.random.default_rng(83)
+        n, alpha = 12, 0.25
+        x = x_hat = rng.standard_normal((96, n))
+        cfg = QuantConfig(mu=mu, alpha=alpha)
+        factored = 0
+        for _ in range(3):
+            weights = rng.standard_normal((n, n)) * np.sqrt(2.0 / n)
+            calls = count_gram_factors(monkeypatch)
+            cached = [cross_layer_target(x, x_hat, w, cfg) for w in weights]
+            factored += len(calls)
+            for w, got in zip(weights, cached):
+                assert_same_cross_layer(got, self.fresh(monkeypatch, x, x_hat, w, cfg))
+            v = np.array([r.result.v for r in cached])
+            x, x_hat = relu(x @ weights.T), relu(x_hat @ (alpha * v).T)
+        assert factored == 3
+
+    def test_in_place_change_of_x_hat_factors_again(self, monkeypatch):
+        rng = np.random.default_rng(89)
+        x = rng.standard_normal((40, 6))
+        x_hat = x + 0.05 * rng.standard_normal(x.shape)
+        w = rng.uniform(-2.0, 2.0, 6)
+        cfg = QuantConfig(mu=0.3, alpha=0.5)
+        calls = count_gram_factors(monkeypatch)
+        before = cross_layer_target(x, x_hat, w, cfg)
+        x_hat[3, 2] += 0.75
+        after = cross_layer_target(x, x_hat, w, cfg)
+        assert len(calls) == 2
+        assert_same_cross_layer(after, self.fresh(monkeypatch, x, x_hat, w, cfg))
+        assert not np.array_equal(after.w_hat, before.w_hat)
+
+    def test_changed_mu_shape_or_order_factors_again(self, monkeypatch):
+        rng = np.random.default_rng(97)
+        x = rng.standard_normal((40, 6))
+        x_hat = x + 0.05 * rng.standard_normal(x.shape)
+        w = rng.uniform(-2.0, 2.0, 6)
+        calls = count_gram_factors(monkeypatch)
+        cases = [
+            (x, x_hat, w, QuantConfig(mu=0.3)),
+            # the same values in Fortran order
+            (x, np.asfortranarray(x_hat), w, QuantConfig(mu=0.3)),
+            (x, x_hat, w, QuantConfig(mu=0.3)),
+            # the same bytes as a 20 x 12 matrix
+            (x.reshape(20, 12), x_hat.reshape(20, 12), np.tile(w, 2), QuantConfig(mu=0.3)),
+            (x, x_hat, w, QuantConfig(mu=resolve_mu(x_hat, "auto"))),
+            (x, x_hat, w, QuantConfig(mu="auto")),
+        ]
+        for args in cases:  # each differs from the one before it
+            calls.clear()
+            got = cross_layer_target(*args)
+            cross_layer_target(*args)  # the repeat is a hit
+            assert len(calls) == 1
+            assert_same_cross_layer(got, self.fresh(monkeypatch, *args))
+
+    def test_a_64_row_layer_factors_once(self, monkeypatch):
+        rng = np.random.default_rng(101)
+        x = rng.standard_normal((256, 64))
+        x_hat = x + 0.05 * rng.standard_normal(x.shape)
+        weights = rng.standard_normal((64, 64)) / 8
+        calls = count_gram_factors(monkeypatch)
+        for w in weights:
+            cross_layer_target(x, x_hat, w, QuantConfig(mu="auto", alpha=1 / 16))
+        assert calls == [(64, 64)]
+
+    def test_the_memo_keeps_a_private_read_only_copy(self):
+        x = np.random.default_rng(103).standard_normal((20, 5))
+        sb = cached_solver_basis(x, 0.5)
+        assert cached_solver_basis(x.copy(), 0.5) is sb
+        assert not np.shares_memory(sb.x, x)
+        for a in (sb.x, sb.x_solver, sb.basis, sb.l, sb.l_inv):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+        x[0, 0] += 1.0
+        assert cached_solver_basis(x, 0.5) is not sb
+
+    def test_strided_input_is_not_memoized(self, monkeypatch):
+        rng = np.random.default_rng(107)
+        x = rng.standard_normal((30, 12))[:, ::2]
+        calls = count_gram_factors(monkeypatch)
+        for _ in range(2):
+            scaled_quantize(x, rng.uniform(-2.0, 2.0, 6))
+        assert len(calls) == 2
+        assert latquant.quantize._last_basis is None
+
+    @pytest.mark.parametrize("call", [
+        lambda x, w: gptq_quantize(x, w),
+        lambda x, w: scaled_quantize(x, w, QuantConfig(algorithm="babai")),
+        lambda x, w: gptq_quantize_recursive(x, w),
+    ])
+    def test_one_row_wrappers_share_the_factorization(self, call, monkeypatch):
+        rng = np.random.default_rng(109)
+        x = rng.standard_normal((30, 7))
+        weights = rng.uniform(-3.0, 3.0, (5, 7))
+        calls = count_gram_factors(monkeypatch)
+        results = [call(x, w) for w in weights]
+        assert len(calls) == 1
+        monkeypatch.setattr(latquant.quantize, "_last_basis", None)
+        for w, got in zip(weights, results):
+            want = call(x, w)
+            monkeypatch.setattr(latquant.quantize, "_last_basis", None)
+            np.testing.assert_array_equal(got.v, want.v)
+            for a, b in ((got.error_l2, want.error_l2), (got.step_coeffs, want.step_coeffs)):
+                np.testing.assert_array_equal(bits(a), bits(b))
+
+
+def gptq_rows_outer(l_inv, w, history=None):
+    """The parameter-space sweep as it was written before the kernel in
+    quantize._gptq_rows: np.outer updates and v written back into w."""
+    w = np.array(w, dtype=float)
+    coeffs = np.empty_like(w)
+    if history is not None:
+        history.append(w[0].copy())
+    for i in range(w.shape[1]):
+        coeffs[:, i] = c = w[:, i].copy()
+        v = np.rint(c)
+        w[:, i + 1 :] += np.outer((v - c) / l_inv[i, i], l_inv[i + 1 :, i])
+        w[:, i] = v
+        if history is not None:
+            history.append(w[0].copy())
+    return w.astype(np.int64), coeffs
+
+
+def nearest_plane_outer(l, p):
+    """The nearest-plane sweep as it was written before the kernel in
+    lattice.nearest_plane_rows."""
+    p = np.array(p, dtype=float)
+    v = np.empty_like(p)
+    coeffs = np.empty_like(p)
+    for i in range(p.shape[1]):
+        coeffs[:, i] = c = p[:, i] / l[i, i]
+        v[:, i] = np.rint(c)
+        p[:, i + 1 :] -= np.outer(v[:, i], l[i + 1 :, i])
+    return v.astype(np.int64), coeffs
+
+
+def tie_heavy_lattice(seed: int, n: int):
+    """An integer lower-triangular L with diagonal entries 1 or 2, and its
+    inverse, which is exact in float64 (dyadic entries): on half-integer
+    or integer inputs most coefficients are exact ties."""
+    rng = np.random.default_rng(seed)
+    l = np.tril(rng.integers(-2, 3, (n, n)), -1) + np.diag(rng.integers(1, 3, n))
+    return l.astype(float), np.linalg.inv(l)
+
+
+class TestSweepKernels:
+    """The two row kernels against the np.outer sweeps they replaced: the
+    same float operations, so the same bits."""
+
+    @pytest.mark.parametrize("m", [1, 512])
+    def test_random_rows(self, m):
+        rng = np.random.default_rng(113 + m)
+        sb = solver_basis(rng.standard_normal((96, 24)), 0.2)
+        w = rng.uniform(-8.0, 8.0, (m, 24))
+        p = w @ sb.l.T
+        for got, want in ((_gptq_rows(sb.l_inv, w), gptq_rows_outer(sb.l_inv, w)),
+                          (nearest_plane_rows(sb.l, p), nearest_plane_outer(sb.l, p))):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(bits(got[1]), bits(want[1]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tie_heavy_integer_lattices(self, seed):
+        l, l_inv = tie_heavy_lattice(seed, 12)
+        rng = np.random.default_rng(127 + seed)
+        w = rng.integers(-16, 17, (64, 12)) / 2
+        p = rng.integers(-16, 17, (64, 12)).astype(float)
+        got, want = _gptq_rows(l_inv, w), gptq_rows_outer(l_inv, w)
+        assert fragile_indices(want[1].ravel())  # ties do occur
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(bits(got[1]), bits(want[1]))
+        got, want = nearest_plane_rows(l, p), nearest_plane_outer(l, p)
+        assert fragile_indices(want[1].ravel())
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(bits(got[1]), bits(want[1]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_w_history_matches_entry_for_entry(self, seed, make_instance):
+        x, w = make_instance(131 + seed, n=10)
+        w = 4.0 * w
+        res = gptq_quantize(x, w, QuantConfig(mu=0.1))
+        history: list[np.ndarray] = []
+        v, coeffs = gptq_rows_outer(solver_basis(x, 0.1).l_inv, w[None, :], history)
+        np.testing.assert_array_equal(res.v, v[0])
+        assert len(res.w_history) == len(history) == 11
+        for got, want in zip(res.w_history, history):
+            np.testing.assert_array_equal(bits(got), bits(want))

@@ -35,6 +35,25 @@ def test_lll_payoff_runs_at_larger_n():
     assert "instances: 5  (n <= 48" in proc.stdout
 
 
+# Runs the script named by argv[1] as __main__ with the rest of argv, and
+# prints how many times latquant.quantize called gram_factor.
+COUNT_GRAM_FACTORS = """
+import runpy, sys
+import latquant.quantize
+calls = []
+gram_factor = latquant.quantize.gram_factor
+def counting(h):
+    calls.append(h.shape)
+    return gram_factor(h)
+latquant.quantize.gram_factor = counting
+sys.argv = sys.argv[1:]
+try:
+    runpy.run_path(sys.argv[0], run_name="__main__")
+finally:
+    print("gram_factor calls:", len(calls))
+"""
+
+
 def test_chain_job_runs(tmp_path, monkeypatch):
     # perfbench/chain_job.py quantizes a ReLU chain row by row through
     # cross_layer_target; its output must pass the benchmark's own check
@@ -54,11 +73,13 @@ def test_chain_job_runs(tmp_path, monkeypatch):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-B", str(ROOT / "perfbench" / "chain_job.py"),
+        [sys.executable, "-B", "-c", COUNT_GRAM_FACTORS, str(ROOT / "perfbench" / "chain_job.py"),
          "--inputs", str(tmp_path / "in.npz"), "--out", str(tmp_path / "out.npz")],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    # one factorization per layer: the rows of a layer share its lattice
+    assert proc.stdout.splitlines()[-1] == "gram_factor calls: 3"
     with np.load(tmp_path / "out.npz") as out:
         vs = [out[f"v{i + 1}"] for i in range(3)]
         errors = out["error_l2"]
