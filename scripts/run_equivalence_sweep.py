@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from latquant.lattice import LatticeBasis, babai_nearest_plane
-from latquant.quantize import gptq_quantize, gptq_quantize_recursive
+from latquant.quantize import clear_basis_memo, gptq_quantize, gptq_quantize_recursive
 
 
 def main() -> int:
@@ -42,6 +42,7 @@ def main() -> int:
 
         outs = [ref]
         for variant in ("gptq_rec", "babai_proj_rec"):
+            clear_basis_memo()  # each solver pays for its own factorization
             t0 = time.perf_counter()
             outs.append(gptq_quantize_recursive(x, w, variant=variant))
             timings[variant] += time.perf_counter() - t0

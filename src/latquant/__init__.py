@@ -41,6 +41,7 @@ from .quantize import (
     MatrixQuantReport,
     QuantConfig,
     QuantResult,
+    clear_basis_memo,
     cross_layer_target,
     gptq_quantize,
     gptq_quantize_recursive,
@@ -94,6 +95,7 @@ __all__ = [
     "babai_nearest_plane",
     "brute_force_cvp",
     "cholesky_spd",
+    "clear_basis_memo",
     "cross_layer_target",
     "fragile_indices",
     "gptq_quantize",

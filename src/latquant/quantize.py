@@ -21,8 +21,9 @@ Gram matrix, or QR of the basis when that is too ill-conditioned), inverts
 L once, and runs one O(m n^2) sweep over the columns for all m rows.
 The single-row functions run the same kernels on one row, and
 cross_layer_target is its one-row wrapper.  Called once per row of a
-layer, they share one factorization: cached_solver_basis keeps the last
-lattice factored and hands it back while x and mu stay the same.
+layer, cross_layer_target and scaled_quantize share one factorization:
+cached_solver_basis keeps the last lattice factored and hands it back
+while x and mu stay the same.
 
 Rank-deficient calibration data (in particular k < n) is handled by
 stacking mu * I under X, which adds mu^2 to every eigenvalue of X^T X;
@@ -199,30 +200,42 @@ _last_basis: tuple | None = None
 
 
 def cached_solver_basis(x, mu: float | str) -> SolverBasis:
-    """solver_basis(x, mu) through a one-entry memo, for the one-row entry
-    points that run once per row of a layer.  A call with the configured
-    mu, the shape, the memory order and the bits of x of the previous call
-    gets that call's basis back; any other call factors again.  The basis
-    is built on a private copy of x and its arrays are read-only, so no
-    write to the caller's array or to the result can reach the memo.  An x
-    that is neither C- nor F-contiguous is not memoized, since a
-    contiguous copy could change the bits of its products.  A hit repeats
-    no warning that the factorization issued."""
+    """solver_basis(x, mu) through a one-entry memo, for the entry points
+    that run once per row of a layer (cross_layer_target, scaled_quantize).
+    A call with the configured mu, the shape, the memory order and the
+    bits of x of the previous call gets that call's basis back; any other
+    call factors again.  The basis is built on a private copy of x and its
+    arrays are read-only, so no write to the caller's array or to the
+    result can reach the memo.  An x that is neither C- nor F-contiguous
+    is neither looked up nor memoized, since a contiguous copy could
+    change the bits of its products.  A hit repeats no warning that the
+    factorization issued.  The memo holds the copy and the basis until
+    the next miss or clear_basis_memo()."""
     global _last_basis
     x = check_matrix(x, "x")
-    key = (mu if isinstance(mu, str) else float(mu).hex(), x.shape, x.flags.c_contiguous)
+    if x.flags.c_contiguous:
+        order = "C"
+    elif x.flags.f_contiguous:
+        order = "F"
+    else:
+        return solver_basis(x, mu)
+    key = (mu if isinstance(mu, str) else float(mu).hex(), x.shape, order)
     last = _last_basis
     if (last is not None and last[0] == key
             and np.array_equal(last[1].view(np.uint64), x.view(np.uint64))):
         return last[2]
-    if not (x.flags.c_contiguous or x.flags.f_contiguous):
-        return solver_basis(x, mu)
     x = np.copy(x)  # order "K": the same memory order as the caller's
     sb = solver_basis(x, mu)
     for a in (sb.x, sb.x_solver, sb.basis, sb.l, sb.l_inv):
         a.setflags(write=False)
     _last_basis = key, x, sb
     return sb
+
+
+def clear_basis_memo() -> None:
+    """Release the basis cached_solver_basis holds; the next call factors."""
+    global _last_basis
+    _last_basis = None
 
 
 def _gptq_rows(l_inv: np.ndarray, w: np.ndarray,
@@ -308,7 +321,7 @@ def gptq_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
     of scaled_quantize / quantize_matrix).  With cfg.mu = 0 and
     rank-deficient x this raises RankDeficient; the fix is mu > 0.
     """
-    sb = cached_solver_basis(x, cfg.mu)
+    sb = solver_basis(x, cfg.mu)
     w = check_vector(w, sb.x.shape[1], "w")[None, :]
     history: list[np.ndarray] = []
     v, coeffs = _gptq_rows(sb.l_inv, w, history)

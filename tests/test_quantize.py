@@ -28,6 +28,7 @@ from latquant.quantize import (
     QuantConfig,
     _gptq_rows,
     cached_solver_basis,
+    clear_basis_memo,
     cross_layer_target,
     gptq_quantize,
     gptq_quantize_recursive,
@@ -639,11 +640,11 @@ def assert_same_cross_layer(got, want):
 
 
 class TestBasisMemo:
-    """cross_layer_target and the one-row wrappers share one factorization
+    """cross_layer_target and scaled_quantize share one factorization
     across calls on the same lattice, through cached_solver_basis."""
 
     def fresh(self, monkeypatch, *args):
-        monkeypatch.setattr(latquant.quantize, "_last_basis", None)
+        clear_basis_memo()
         return cross_layer_target(*args)
 
     @pytest.mark.parametrize("mu", ["auto", 0.0])
@@ -731,9 +732,39 @@ class TestBasisMemo:
             scaled_quantize(x, rng.uniform(-2.0, 2.0, 6))
         assert len(calls) == 2
         assert latquant.quantize._last_basis is None
+        # a strided x with the values and shape of the memoized F-ordered
+        # one is not looked up: it gets the basis of its own products
+        x_f = np.asfortranarray(x)
+        sb_f = cached_solver_basis(x_f, 0.4)
+        sb = cached_solver_basis(x, 0.4)
+        assert len(calls) == 4
+        assert sb is not sb_f and latquant.quantize._last_basis[2] is sb_f
+        want = solver_basis(x, 0.4)
+        for a, b in ((sb.x_solver, want.x_solver), (sb.l, want.l), (sb.l_inv, want.l_inv)):
+            np.testing.assert_array_equal(bits(a), bits(b))
+
+    def test_clear_basis_memo_releases_the_basis(self, monkeypatch):
+        x = np.random.default_rng(113).standard_normal((20, 5))
+        calls = count_gram_factors(monkeypatch)
+        sb = cached_solver_basis(x, 0.5)
+        clear_basis_memo()
+        assert latquant.quantize._last_basis is None
+        assert cached_solver_basis(x, 0.5) is not sb
+        assert len(calls) == 2
+
+    def test_gptq_quantize_keeps_nothing(self, monkeypatch):
+        # no caller repeats x through gptq_quantize, so it factors every
+        # call and leaves the memo alone
+        rng = np.random.default_rng(127)
+        x = rng.standard_normal((30, 7))
+        calls = count_gram_factors(monkeypatch)
+        for w in rng.uniform(-3.0, 3.0, (3, 7)):
+            gptq_quantize(x, w)
+        assert len(calls) == 3
+        assert latquant.quantize._last_basis is None
 
     @pytest.mark.parametrize("call", [
-        lambda x, w: gptq_quantize(x, w),
+        lambda x, w: scaled_quantize(x, w),
         lambda x, w: scaled_quantize(x, w, QuantConfig(algorithm="babai")),
         lambda x, w: gptq_quantize_recursive(x, w),
     ])
@@ -744,10 +775,10 @@ class TestBasisMemo:
         calls = count_gram_factors(monkeypatch)
         results = [call(x, w) for w in weights]
         assert len(calls) == 1
-        monkeypatch.setattr(latquant.quantize, "_last_basis", None)
+        clear_basis_memo()
         for w, got in zip(weights, results):
             want = call(x, w)
-            monkeypatch.setattr(latquant.quantize, "_last_basis", None)
+            clear_basis_memo()
             np.testing.assert_array_equal(got.v, want.v)
             for a, b in ((got.error_l2, want.error_l2), (got.step_coeffs, want.step_coeffs)):
                 np.testing.assert_array_equal(bits(a), bits(b))
