@@ -90,8 +90,10 @@ def _write_outputs(args, report: Report, v_mat: np.ndarray | None = None) -> Non
 
 
 def _cmd_quantize(args) -> int:
+    start = time.perf_counter()
     weights = load_matrix_csv(args.weights)
     x = load_matrix_csv(args.calib)
+    parse_ms = (time.perf_counter() - start) * 1e3
     cfg = _config(args)
     m, n = weights.shape
     k = x.shape[0]
@@ -106,6 +108,12 @@ def _cmd_quantize(args) -> int:
     gamma = relative_error_factor(rep.l_diag)
     # per-row guarantee, scaled to the alphabet and summed over m rows
     bound_scale = cfg.alpha * math.sqrt(m)
+    ratios = rep.row_errors_regularized / cfg.alpha / abs_bound.paper
+    conditioning = {"mu": rep.mu, "route": rep.route,
+                    "l_diag_min": float(rep.l_diag.min()),
+                    "l_diag_max": float(rep.l_diag.max())}
+    if math.isfinite(rep.cond):
+        conditioning["cond_1"] = rep.cond
     report = Report(
         algorithm=algorithm,
         n=n, k=k, m=m,
@@ -114,16 +122,20 @@ def _cmd_quantize(args) -> int:
         bound_abs_paper=bound_scale * abs_bound.paper,
         bound_abs_halfstep=bound_scale * abs_bound.half_step,
         gamma_bound=gamma.gamma,
-        step_coeffs=rep.step_coeffs.ravel().tolist(),
         fragile_count=len(rep.fragile),
         wall_time_ms=wall_ms,
         v=v_mat[0].tolist() if m == 1 else None,
         V=v_mat.tolist() if m > 1 else None,
+        conditioning=conditioning,
+        quality={"row_ratio_max": float(ratios.max()),
+                 "row_ratio_median": float(np.median(ratios))},
+        timings_ms={"parse": parse_ms, **rep.timings_ms},
     )
     _write_outputs(args, report, v_mat)
     print(f"quantized {m}x{n} with {algorithm}: error_l2={report.error_l2!r} "
-          f"(bound {report.bound_abs_paper!r}), fragile={report.fragile_count} "
-          f"-> {args.out}")
+          f"(bound {report.bound_abs_paper!r}), "
+          f"max_row_ratio={report.quality['row_ratio_max']!r}, "
+          f"fragile={report.fragile_count} -> {args.out}")
     return 0
 
 

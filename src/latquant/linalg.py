@@ -137,8 +137,8 @@ class QLFactors:
 
     q: k x n with orthonormal columns.
     l: n x n lower triangular with positive diagonal (exact zeros above).
-    l_inv is computed on first access (ql_decompose's condition check)
-    and cached.
+    l_inv and cond, the 1-norm condition number ||L||_1 ||L^-1||_1, are
+    computed on first access (ql_decompose's condition check) and cached.
     """
 
     q: np.ndarray
@@ -147,6 +147,10 @@ class QLFactors:
     @cached_property
     def l_inv(self) -> np.ndarray:
         return invert_lower_triangular(self.l)
+
+    @cached_property
+    def cond(self) -> float:
+        return _cond_estimate(self.l, self.l_inv)
 
     @property
     def diag(self) -> np.ndarray:
@@ -167,7 +171,7 @@ def ql_decompose(x, rank_tol: float = RANK_TOL) -> QLFactors:
     """
     factors = _ql_factors(x, rank_tol)
     # Q is orthonormal, so cond(X) == cond(L).
-    if _cond_estimate(factors.l, factors.l_inv) > COND_WARN:
+    if factors.cond > COND_WARN:
         warnings.warn(
             f"input condition number exceeds {COND_WARN:.0e}; "
             "consider a larger regularizer mu",
@@ -263,8 +267,9 @@ def _cond_estimate(l: np.ndarray, l_inv: np.ndarray) -> float:
     return cond if math.isfinite(cond) else math.inf
 
 
-def gram_factor(h) -> tuple[np.ndarray, np.ndarray] | None:
-    """Lower-triangular L with positive diagonal and L^T L = h, and L^-1.
+def gram_factor(h) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Lower-triangular L with positive diagonal and L^T L = h, L^-1, and
+    the 1-norm condition number ||L||_1 ||L^-1||_1 the gate read.
 
     h is a Gram matrix X^T X; the Cholesky factorization of h with rows
     and columns reversed gives, reversed back and transposed, the L of
@@ -279,9 +284,10 @@ def gram_factor(h) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     l = np.ascontiguousarray(c.T[::-1, ::-1])
     l_inv = _lower_inverse(l)
-    if _cond_estimate(l, l_inv) > GRAM_COND_MAX:
+    cond = _cond_estimate(l, l_inv)
+    if cond > GRAM_COND_MAX:
         return None
-    return l, l_inv
+    return l, l_inv, cond
 
 
 def invert_lower_triangular(l) -> np.ndarray:

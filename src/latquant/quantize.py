@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,12 +155,14 @@ class SolverBasis:
     exact unimodular transform (None without reduction).  l is the
     lower-triangular factor with positive diagonal and
     l^T l = basis^T basis, and l_inv its inverse: all the solvers need.
-    The coordinates Q^T t of a point t on the basis's Gram-Schmidt
-    directions are l_inv^T basis^T t, so Q is never formed.  l comes from
-    the Cholesky factorization of basis^T basis, or from the QL
-    factorization of basis when that Gram matrix fails
-    linalg.gram_factor's conditioning gate; either route inverts it once,
-    with linalg.invert_lower_triangular's kernel."""
+    cond is l's 1-norm condition number ||L||_1 ||L^-1||_1, read where l
+    was factored.  The coordinates Q^T t of a point t on the basis's
+    Gram-Schmidt directions are l_inv^T basis^T t, so Q is never formed.
+    l comes from the Cholesky factorization of basis^T basis, or from the
+    QL factorization of basis when that Gram matrix fails
+    linalg.gram_factor's conditioning gate (route reads "cholesky" or
+    "qr"); either route inverts it once, with
+    linalg.invert_lower_triangular's kernel."""
 
     x: np.ndarray
     x_solver: np.ndarray
@@ -167,6 +170,8 @@ class SolverBasis:
     basis: np.ndarray
     l: np.ndarray
     l_inv: np.ndarray
+    cond: float
+    route: str
     u: np.ndarray | None = None
 
 
@@ -187,10 +192,11 @@ def solver_basis(x, mu: float | str, reduce_delta: float | None = None) -> Solve
         basis, u = reduced.basis_red, reduced.u
     with np.errstate(over="ignore"):  # an overflowing Gram matrix fails the factorization
         factor = gram_factor(basis.T @ basis)
+    route = "cholesky"
     if factor is None:
         f = ql_decompose(basis)
-        factor = f.l, f.l_inv
-    return SolverBasis(x, x_solver, mu, basis, *factor, u)
+        factor, route = (f.l, f.l_inv, f.cond), "qr"
+    return SolverBasis(x, x_solver, mu, basis, *factor, route, u)
 
 
 # The last basis cached_solver_basis factored: (key, private copy of x,
@@ -305,13 +311,19 @@ def _pull_back(sb: SolverBasis, t: np.ndarray, alpha: float):
     Gram-Schmidt directions of the basis B) and w_r = L^-1 p_r (its
     least-squares coefficients); t_r is zero past its end.  Each row takes
     its own products, so its bits do not depend on the other rows, on t_r
-    divided by a power of two, so B^T t of large data does not overflow."""
+    divided by a power of two, so B^T t of large data does not overflow.
+    Raises ValueError where p or w pass the float range."""
     b_t = sb.basis[: t.shape[1]].T
     p = np.empty((t.shape[0], sb.l.shape[0]))
-    for r, row in enumerate(t):
-        scale = power_of_two_scale(row)
-        p[r] = sb.l_inv.T @ (b_t @ (row / scale)) * scale / alpha
-    return p, np.array([sb.l_inv @ row for row in p])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for r, row in enumerate(t):
+            scale = power_of_two_scale(row)
+            p[r] = sb.l_inv.T @ (b_t @ (row / scale)) * scale / alpha
+        w = np.array([sb.l_inv @ row for row in p])
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(w))):
+        raise ValueError(f"the target's coordinates t / alpha overflow at alpha = {alpha!r}; "
+                         "use a larger alpha")
+    return p, w
 
 
 def gptq_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
@@ -375,7 +387,12 @@ def _one_row(v, rep, alpha: float, fragile: list[int]) -> QuantResult:
 
 @dataclass(eq=False)
 class MatrixQuantReport:
-    """Per-row errors and diagnostics for a whole-matrix run."""
+    """Per-row errors and diagnostics for a whole-matrix run.
+
+    route and cond are the factorization's (see SolverBasis).
+    timings_ms holds quantize_matrix's wall times in milliseconds:
+    "factor" (validation, regularization, any reduction and the
+    factorization) and "solve" (the sweep and the errors)."""
 
     row_errors: np.ndarray
     row_errors_regularized: np.ndarray
@@ -385,6 +402,9 @@ class MatrixQuantReport:
     step_coeffs: np.ndarray
     mu: float
     l_diag: np.ndarray
+    route: str
+    cond: float
+    timings_ms: dict[str, float] = field(default_factory=dict)
 
 
 def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
@@ -404,10 +424,15 @@ def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
     coefficients are w / alpha.  row_errors are alpha ||t/alpha - X v||
     (for an in-span target alpha ||X (w/alpha - v)||), the regularized
     ones take X_solver, and each total is the root of the rows' squares."""
+    start = time.perf_counter()
     weights, x, x_target = _check_layer(weights, x, x_target)
     sb = solver_basis(x, cfg.mu, reduce_delta)
+    factored = time.perf_counter()
     t = None if x_target is None else _targets(x_target, weights)
-    return _solve_rows(sb, weights, cfg, t)[:2]
+    v, report = _solve_rows(sb, weights, cfg, t)[:2]
+    report.timings_ms = {"factor": (factored - start) * 1e3,
+                         "solve": (time.perf_counter() - factored) * 1e3}
+    return v, report
 
 
 def _check_layer(weights, x, x_target=None):
@@ -435,8 +460,13 @@ def _solve_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig,
                 t: np.ndarray | None = None):
     """quantize_matrix on the factored basis sb, aiming the rows at the
     target rows t (None: in the span, X_solver w).  Also returns v before
-    the clamp and the rows' coefficients on the basis the solver ran on."""
-    w_scaled = weights / cfg.alpha
+    the clamp and the rows' coefficients on the basis the solver ran on.
+    Raises ValueError, before any sweep, where weights / alpha overflow."""
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        w_scaled = weights / cfg.alpha
+    if not np.all(np.isfinite(w_scaled)):
+        raise ValueError(f"weights / alpha overflow at alpha = {cfg.alpha!r}; "
+                         "use a larger alpha")
     w_basis, p = w_scaled, None
     if t is None and sb.u is not None:
         t = _targets(sb.x_solver, weights)
@@ -467,6 +497,8 @@ def _solve_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig,
         step_coeffs=coeffs,
         mu=sb.mu,
         l_diag=np.diag(sb.l).copy(),
+        route=sb.route,
+        cond=sb.cond,
     )
     return v_out, report, v, w_basis
 

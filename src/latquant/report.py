@@ -1,9 +1,19 @@
 """Single-object JSON run reports with a published schema.
 
 Every CLI run that quantizes something writes one JSON object with a
-fixed key vocabulary (REPORT_SCHEMA); optional keys are omitted rather
-than set to null.  Reals are rendered with 17 significant digits so the
-values round-trip exactly.
+fixed key vocabulary (REPORT_SCHEMA, version SCHEMA_VERSION, which every
+report carries as schema_version); optional keys are omitted rather than
+set to null.  Reals are rendered with 17 significant digits so the values
+round-trip exactly.
+
+Version 2 made step_coeffs optional: compare and oracle write their
+n-value list, quantize writes none (its m * n coefficients were most of
+a layer's report; quantize_matrix(...)[1].step_coeffs has them).  A
+quantize report instead explains its run in three small objects:
+conditioning (the resolved mu, the factor route, min/max L_ii and the
+1-norm condition number cond_1 of L), quality (the max and median over
+rows of the regularized error over the per-row bound alpha * ||diag L||,
+at most 1 for unclamped runs) and timings_ms (parse, factor and solve).
 """
 
 from __future__ import annotations
@@ -14,12 +24,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SCHEMA_VERSION = 2
+
 _KEY_ORDER = (
-    "algorithm", "n", "k", "m", "mu", "alpha", "delta", "v", "V",
+    "schema_version", "algorithm", "n", "k", "m", "mu", "alpha", "delta", "v", "V",
     "error_l2", "error_regularized", "bound_abs_paper", "bound_abs_halfstep",
     "gamma_bound", "step_coeffs", "fragile_count", "agreement",
-    "oracle_error", "wall_time_ms",
+    "oracle_error", "wall_time_ms", "conditioning", "quality", "timings_ms",
 )
+
+
+def _reals(*names: str) -> dict:
+    """Schema properties: each name a real >= 0."""
+    return {name: {"type": "number", "minimum": 0} for name in names}
+
+
+def _object(properties: dict, optional=()) -> dict:
+    """Schema of an object with exactly these properties, all required
+    but those named in optional."""
+    return {"type": "object", "additionalProperties": False,
+            "required": [key for key in properties if key not in optional],
+            "properties": properties}
+
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -27,14 +53,14 @@ REPORT_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": [
-        "algorithm", "n", "k", "m", "mu", "alpha", "delta",
+        "schema_version", "algorithm", "n", "k", "m", "mu", "alpha", "delta",
         "error_l2", "error_regularized", "bound_abs_paper",
-        "bound_abs_halfstep", "gamma_bound", "step_coeffs",
-        "fragile_count", "wall_time_ms",
+        "bound_abs_halfstep", "gamma_bound", "fragile_count", "wall_time_ms",
     ],
     # v (single row) and V (matrix) are mutually exclusive.
     "not": {"required": ["v", "V"]},
     "properties": {
+        "schema_version": {"const": SCHEMA_VERSION},
         "algorithm": {"type": "string"},
         "n": {"type": "integer", "minimum": 1},
         "k": {"type": "integer", "minimum": 0},
@@ -57,6 +83,13 @@ REPORT_SCHEMA = {
         "agreement": {"type": "boolean"},
         "oracle_error": {"type": "number", "minimum": 0},
         "wall_time_ms": {"type": "number", "minimum": 0},
+        # cond_1 is omitted where it overflowed
+        "conditioning": _object(
+            {**_reals("mu", "l_diag_min", "l_diag_max", "cond_1"),
+             "route": {"enum": ["cholesky", "qr"]}},
+            optional=("cond_1",)),
+        "quality": _object(_reals("row_ratio_max", "row_ratio_median")),
+        "timings_ms": _object(_reals("parse", "factor", "solve")),
     },
 }
 
@@ -75,16 +108,19 @@ class Report:
     bound_abs_paper: float
     bound_abs_halfstep: float
     gamma_bound: float
-    step_coeffs: list[float]
     fragile_count: int
     wall_time_ms: float
+    step_coeffs: list[float] | None = None
     v: list[int] | None = None
     V: list[list[int]] | None = None
     agreement: bool | None = None
     oracle_error: float | None = None
+    conditioning: dict | None = None
+    quality: dict | None = None
+    timings_ms: dict | None = None
 
     def to_dict(self) -> dict:
-        raw = self.__dict__
+        raw = {**self.__dict__, "schema_version": SCHEMA_VERSION}
         return {key: raw[key] for key in _KEY_ORDER if raw[key] is not None}
 
     def to_json(self) -> str:

@@ -8,7 +8,9 @@ import pytest
 import latquant.quantize
 from latquant.cli import main
 from latquant.lattice import LatticeBasis, babai_from_target
+from latquant.linalg import GRAM_COND_MAX
 from latquant.matio import load_matrix_csv, save_matrix_csv
+from latquant.quantize import QuantConfig, quantize_matrix
 from latquant.reduction import DEFAULT_DELTA, lll_reduce, map_solution
 from latquant.report import REPORT_SCHEMA
 
@@ -163,6 +165,24 @@ class TestQuantize:
         assert not (workdir / "report.json").exists()
         assert not (workdir / "V.csv").exists()
 
+    @pytest.mark.parametrize("calib, weights, options", [
+        # weights / alpha overflows
+        ([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]], [[0.4, 0.7]], ["--alpha", "1e-320"]),
+        # weights / alpha is finite, the reduced basis's coordinates of the
+        # target are not
+        ([[1e20, 2e20], [3e20, 4e20], [5e20, 7e20]], [[1e-10, 1e-10]],
+         ["--alpha", "1e-300", "--reduce", "lll"]),
+    ])
+    def test_tiny_alpha_exits_2_without_writing(self, workdir, capsys, calib, weights,
+                                                options):
+        # refused before any sweep; a RuntimeWarning would fail the test
+        calib, weights = write(workdir / "X.csv", calib), write(workdir / "W.csv", weights)
+        assert main(["quantize", "--weights", weights, "--calib", calib, *options]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "alpha = " in err
+        assert not (workdir / "report.json").exists()
+        assert not (workdir / "V.csv").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_overflowing_error_writes_no_report(self, workdir, capsys):
@@ -215,8 +235,11 @@ class TestQuantize:
         assert main(["quantize", "--weights", weights, "--calib", calib,
                      "--alpha", "0.5"]) == 0
         data, _ = read_report(workdir / "report.json")
-        printed = re.search(r"\(bound ([^)]+)\)", capsys.readouterr().out).group(1)
+        out = capsys.readouterr().out
+        printed = re.search(r"\(bound ([^)]+)\)", out).group(1)
         assert float(printed) == data["bound_abs_paper"]
+        printed = re.search(r"max_row_ratio=([^,]+),", out).group(1)
+        assert float(printed) == data["quality"]["row_ratio_max"]
         # sum of L_ii^2 is 29 + 1/29; three rows on the half grid
         expected = 0.5 * np.sqrt(3) * np.sqrt(29 + 1 / 29)
         assert data["bound_abs_paper"] == pytest.approx(expected, rel=1e-12)
@@ -474,3 +497,87 @@ def test_mu_hint_on_subcommands_that_take_mu(workdir, capsys, command):
     write(workdir / "W.csv", [[0.4, 1.6]])
     assert main([*command, "--calib", calib, "--mu", "0"]) == 3
     assert "hint: pass --mu > 0 (or --mu auto)" in capsys.readouterr().err
+
+
+class TestReportSchemaV2:
+    """Every report-writing command validates against schema version 2;
+    quantize drops the step coefficients and explains the run instead."""
+
+    @pytest.mark.parametrize("m, options, cfg, delta", [
+        (1, [], QuantConfig(), None),
+        (4, [], QuantConfig(), None),
+        (4, ["--reduce", "lll"], QuantConfig(), DEFAULT_DELTA),
+        (3, ["--algo", "babai", "--alpha", "0.25"],
+         QuantConfig(alpha=0.25, algorithm="babai"), None),
+        (5, ["--mu", "auto", "--alpha", "3.0"], QuantConfig(mu="auto", alpha=3.0), None),
+    ])
+    def test_quantize_summarises_instead_of_listing_coefficients(self, workdir, m, options,
+                                                                 cfg, delta):
+        rng = np.random.default_rng(29 + m)
+        x = rng.uniform(-1, 1, (10, 4)) @ rng.uniform(-2, 2, (4, 4))
+        w = rng.uniform(-3, 3, (m, 4))
+        calib, weights = write(workdir / "X.csv", x), write(workdir / "W.csv", w)
+        assert main(["quantize", "--weights", weights, "--calib", calib, *options]) == 0
+        data, _ = read_report(workdir / "report.json")
+        assert data["schema_version"] == 2
+        assert "step_coeffs" not in data
+        assert ("v" in data) == (m == 1) and ("V" in data) == (m > 1)
+
+        cond = data["conditioning"]
+        assert cond["mu"] == data["mu"]
+        assert cond["route"] == "cholesky" and cond["cond_1"] <= GRAM_COND_MAX
+        assert 0 < cond["l_diag_min"] <= cond["l_diag_max"]
+        quality = data["quality"]
+        assert quality["row_ratio_median"] <= quality["row_ratio_max"] <= 1.0
+        timings = data["timings_ms"]
+        assert timings["factor"] + timings["solve"] <= data["wall_time_ms"] * (1 + 1e-9)
+
+        # the same numbers from the library's report on the same inputs
+        _, rep = quantize_matrix(load_matrix_csv(weights), load_matrix_csv(calib), cfg, delta)
+        assert cond["l_diag_min"] == rep.l_diag.min()
+        assert cond["l_diag_max"] == rep.l_diag.max()
+        assert cond["cond_1"] == rep.cond
+        ratios = rep.row_errors_regularized / cfg.alpha / np.linalg.norm(rep.l_diag)
+        assert quality["row_ratio_max"] == pytest.approx(ratios.max(), rel=1e-12)
+        assert quality["row_ratio_median"] == pytest.approx(np.median(ratios), rel=1e-12)
+
+    @pytest.mark.parametrize("scale, route", [(10 * GRAM_COND_MAX, "qr"),
+                                              (GRAM_COND_MAX / 10, "cholesky")])
+    def test_route_follows_the_gram_gate(self, workdir, scale, route):
+        # diagonal L, so its 1-norm condition number is the ratio of the entries
+        calib = write(workdir / "X.csv", [[1.0, 0.0], [0.0, 1.0 / scale], [0.0, 0.0]])
+        weights = write(workdir / "W.csv", [[0.4, 1.6], [-2.2, 0.7]])
+        assert main(["quantize", "--weights", weights, "--calib", calib]) == 0
+        data, _ = read_report(workdir / "report.json")
+        assert data["conditioning"]["route"] == route
+        assert data["conditioning"]["cond_1"] == pytest.approx(scale, rel=1e-12)
+        assert data["conditioning"]["l_diag_min"] == pytest.approx(1.0 / scale, rel=1e-15)
+        assert data["quality"]["row_ratio_max"] <= 1.0
+
+    def test_clamped_runs_report_the_pre_guarantee_ratio(self, workdir):
+        # a clamp moves v off the solve, so the ratio may pass 1
+        calib = write(workdir / "X.csv", np.eye(2))
+        weights = write(workdir / "W.csv", [[5.4, -3.9]])
+        assert main(["quantize", "--weights", weights, "--calib", calib,
+                     "--clamp=-2:2"]) == 0
+        data, _ = read_report(workdir / "report.json")
+        assert data["quality"]["row_ratio_max"] == pytest.approx(
+            np.hypot(3.4, 1.9) / np.sqrt(2), rel=1e-12)
+
+    def test_compare_keeps_the_coefficients(self, workdir):
+        assert main(["compare", "--random", "5,9", "--seeds", "3",
+                     "--report", "r.json"]) == 0
+        data, _ = read_report(workdir / "r.json")
+        assert data["schema_version"] == 2
+        assert len(data["step_coeffs"]) == 5
+        for key in ("conditioning", "quality", "timings_ms"):
+            assert key not in data
+
+    def test_oracle_keeps_the_coefficients(self, workdir):
+        calib = write(workdir / "X.csv", [[3.0, 5.0], [1.0, 2.0]])
+        target = write(workdir / "T.csv", [[0.4, 0.4]])
+        assert main(["oracle", "--calib", calib, "--target", target,
+                     "--report", "r.json"]) == 0
+        data, _ = read_report(workdir / "r.json")
+        assert data["schema_version"] == 2
+        assert data["step_coeffs"] == pytest.approx([-1.2, 19.8 / 29.0], abs=1e-12)

@@ -128,7 +128,8 @@ class TestQlDecompose:
 class TestGramFactor:
     def test_worked_2x2_matches_ql(self, worked_basis):
         # cond(L) = 46 in the 1-norm, inside the gate
-        l, _ = gram_factor(worked_basis.T @ worked_basis)
+        l, l_inv, cond = gram_factor(worked_basis.T @ worked_basis)
+        assert cond == _cond_estimate(l, l_inv)
         np.testing.assert_allclose(l, ql_decompose(worked_basis).l, rtol=1e-12)
         assert l[0, 1] == 0.0
 
@@ -139,7 +140,7 @@ class TestGramFactor:
         x = rng.standard_normal((2 * n + 8, n))
         factor = gram_factor(x.T @ x)
         assert factor is not None
-        l, _ = factor
+        l = factor[0]
         np.testing.assert_allclose(l, ql_decompose(x).l, rtol=1e-10, atol=1e-12)
         assert np.all(np.diag(l) > 0)
         assert np.all(np.triu(l, 1) == 0.0)
@@ -336,7 +337,7 @@ def exact_cond(l) -> float:
 
 def gram_cholesky_factor(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.random.default_rng(seed).standard_normal((2 * n + 8, n))
-    return gram_factor(x.T @ x)
+    return gram_factor(x.T @ x)[:2]
 
 
 def relative_gap(got, want) -> float:

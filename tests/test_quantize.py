@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -864,3 +869,44 @@ class TestSweepKernels:
         assert len(res.w_history) == len(history) == 11
         for got, want in zip(res.w_history, history):
             np.testing.assert_array_equal(bits(got), bits(want))
+
+
+# Quantizes the layer in argv[1] (an .npz with w and x) with mu = auto and
+# saves V, the fragile coordinates and the step coefficients to argv[2].
+QUANTIZE_LAYER = """
+import sys
+import numpy as np
+from latquant import QuantConfig, quantize_matrix
+with np.load(sys.argv[1]) as layer:
+    v, rep = quantize_matrix(layer["w"], layer["x"], QuantConfig(mu="auto"))
+np.savez(sys.argv[2], v=v, fragile=np.array(rep.fragile, dtype=np.int64).reshape(-1, 2),
+         coeffs=rep.step_coeffs)
+"""
+
+
+def test_v_off_fragile_coordinates_does_not_depend_on_blas_threads(tmp_path):
+    # at n = 256 the block products of L^-1 are large enough for OpenBLAS to
+    # split them over threads, which may change the coefficients' last bits
+    rng = np.random.default_rng(41)
+    np.savez(tmp_path / "layer.npz", x=rng.standard_normal((512, 256)),
+             w=rng.normal(0.0, 4.0, (24, 256)))
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith(("OPENBLAS_", "OMP_", "MKL_"))}
+    src = str(Path(latquant.quantize.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.npz"
+        proc = subprocess.run(
+            [sys.executable, "-c", QUANTIZE_LAYER, str(tmp_path / "layer.npz"), str(out)],
+            env={**env, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        with np.load(out) as run:
+            runs.append((run["v"], run["fragile"], run["coeffs"]))
+    (v1, fragile1, coeffs1), (v2, fragile2, coeffs2) = runs
+    solid = np.ones(v1.shape, dtype=bool)
+    for r, j in np.vstack([fragile1, fragile2]):
+        solid[r, j] = False
+    np.testing.assert_array_equal(v1[solid], v2[solid])
+    np.testing.assert_allclose(coeffs1, coeffs2, rtol=0, atol=1e-9)

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latquant.report import REPORT_SCHEMA, Report, render_json
+from latquant.report import REPORT_SCHEMA, SCHEMA_VERSION, Report, render_json
+
+CONDITIONING = {"mu": 0.0, "route": "cholesky", "l_diag_min": 0.19,
+                "l_diag_max": 5.39, "cond_1": 46.0}
+QUALITY = {"row_ratio_max": 0.23, "row_ratio_median": 0.23}
+TIMINGS = {"parse": 0.5, "factor": 0.25, "solve": 0.75}
 
 
 def make_report(**overrides):
@@ -33,13 +38,53 @@ class TestReport:
         jsonschema.validate(data, REPORT_SCHEMA)
 
     def test_key_order_matches_contract(self):
-        data = json.loads(make_report(v=[1], agreement=True, oracle_error=0.5).to_json())
+        data = json.loads(make_report(
+            v=[1], agreement=True, oracle_error=0.5, conditioning=CONDITIONING,
+            quality=QUALITY, timings_ms=TIMINGS).to_json())
+        jsonschema.validate(data, REPORT_SCHEMA)
         assert list(data) == [
-            "algorithm", "n", "k", "m", "mu", "alpha", "delta", "v",
-            "error_l2", "error_regularized", "bound_abs_paper",
+            "schema_version", "algorithm", "n", "k", "m", "mu", "alpha",
+            "delta", "v", "error_l2", "error_regularized", "bound_abs_paper",
             "bound_abs_halfstep", "gamma_bound", "step_coeffs",
             "fragile_count", "agreement", "oracle_error", "wall_time_ms",
+            "conditioning", "quality", "timings_ms",
         ]
+
+    def test_every_report_carries_the_schema_version(self):
+        data = json.loads(make_report().to_json())
+        assert data["schema_version"] == SCHEMA_VERSION == 2
+        for version in (None, 1):
+            if version is None:
+                del data["schema_version"]
+            else:
+                data["schema_version"] = version
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(data, REPORT_SCHEMA)
+
+    def test_step_coeffs_are_optional(self):
+        data = json.loads(make_report(step_coeffs=None).to_json())
+        assert "step_coeffs" not in data
+        jsonschema.validate(data, REPORT_SCHEMA)
+
+    def test_cond_is_the_one_optional_key_of_the_summaries(self):
+        conditioning = {k: v for k, v in CONDITIONING.items() if k != "cond_1"}
+        jsonschema.validate(json.loads(make_report(conditioning=conditioning).to_json()),
+                            REPORT_SCHEMA)
+        for key, full in (("conditioning", conditioning), ("quality", QUALITY),
+                          ("timings_ms", TIMINGS)):
+            for drop in full:
+                part = {k: v for k, v in full.items() if k != drop}
+                data = json.loads(make_report(**{key: part}).to_json())
+                with pytest.raises(jsonschema.ValidationError):
+                    jsonschema.validate(data, REPORT_SCHEMA)
+            data = json.loads(make_report(**{key: {**full, "extra": 1.0}}).to_json())
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(data, REPORT_SCHEMA)
+
+    def test_schema_rejects_an_unknown_route(self):
+        data = json.loads(make_report(conditioning={**CONDITIONING, "route": "svd"}).to_json())
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(data, REPORT_SCHEMA)
 
     def test_schema_rejects_both_v_and_V(self):
         data = json.loads(make_report(v=[1]).to_json())
