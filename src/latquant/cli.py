@@ -108,7 +108,7 @@ def _cmd_quantize(args) -> int:
     gamma = relative_error_factor(rep.l_diag)
     # per-row guarantee, scaled to the alphabet and summed over m rows
     bound_scale = cfg.alpha * math.sqrt(m)
-    ratios = rep.row_errors_regularized / cfg.alpha / abs_bound.paper
+    ratios = np.sort(rep.row_errors_regularized / cfg.alpha / abs_bound.paper)
     conditioning = {"mu": rep.mu, "route": rep.route,
                     "l_diag_min": float(rep.l_diag.min()),
                     "l_diag_max": float(rep.l_diag.max())}
@@ -127,8 +127,9 @@ def _cmd_quantize(args) -> int:
         v=v_mat[0].tolist() if m == 1 else None,
         V=v_mat.tolist() if m > 1 else None,
         conditioning=conditioning,
-        quality={"row_ratio_max": float(ratios.max()),
-                 "row_ratio_median": float(np.median(ratios))},
+        # not np.median, whose first call imports numpy.ma: ~20 ms and 1.8 MB
+        quality={"row_ratio_max": float(ratios[-1]),
+                 "row_ratio_median": float((ratios[(m - 1) // 2] + ratios[m // 2]) / 2)},
         timings_ms={"parse": parse_ms, **rep.timings_ms},
     )
     _write_outputs(args, report, v_mat)
