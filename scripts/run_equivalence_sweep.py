@@ -4,9 +4,13 @@
 The sequential loop, both recursive variants and the data-space sweep
 must return identical integer vectors on every non-fragile instance;
 this script measures how often they do and what each path costs.
+gptq_quantize keeps w_history and so sweeps as one block, while
+babai_nearest_plane runs the blocked nearest-plane kernel: instances with
+n > SWEEP_BLOCK (64) compare the two forms.
 
 Usage:
     python scripts/run_equivalence_sweep.py --instances 500 --max-n 32
+    python scripts/run_equivalence_sweep.py --instances 100 --min-n 60 --max-n 100
 """
 
 import argparse
@@ -14,7 +18,7 @@ import time
 
 import numpy as np
 
-from latquant.lattice import LatticeBasis, babai_nearest_plane
+from latquant.lattice import SWEEP_BLOCK, LatticeBasis, babai_nearest_plane
 from latquant.quantize import clear_basis_memo, gptq_quantize, gptq_quantize_recursive
 
 
@@ -29,10 +33,12 @@ def main() -> int:
     timings = {"gptq": 0.0, "gptq_rec": 0.0, "babai_proj_rec": 0.0, "babai": 0.0}
     agree = 0
     fragile = 0
+    blocked = 0
     for i in range(args.instances):
         rng = np.random.default_rng(args.seed + i)
         n = int(rng.integers(args.min_n, args.max_n + 1))
         k = int(rng.integers(n, 4 * n + 1))
+        blocked += n > SWEEP_BLOCK
         x = rng.uniform(-1.0, 1.0, (k, n))
         w = rng.uniform(-1.0, 1.0, n)
 
@@ -64,6 +70,7 @@ def main() -> int:
 
     print(f"instances: {args.instances}  (n in [{args.min_n}, {args.max_n}])")
     print(f"agreement: {agree}/{args.instances - fragile}  fragile skipped: {fragile}")
+    print(f"past one sweep block (n > {SWEEP_BLOCK}): {blocked}")
     for name, total in sorted(timings.items(), key=lambda kv: kv[1]):
         print(f"  {name:<16} {1e3 * total / args.instances:8.3f} ms/instance")
     return 0 if agree == args.instances - fragile else 1

@@ -27,6 +27,12 @@ from .linalg import (
 
 DEFAULT_TIE_TOL = 1e-9
 
+# Columns per block of the row sweeps (nearest_plane_rows and GPTQ's
+# quantize._gptq_rows).  A step updates the rest of its block, and the
+# columns past the block take the block's steps in one product, so a
+# column is moved once per earlier block instead of once per earlier column.
+SWEEP_BLOCK = 64
+
 # Exhaustive enumeration is capped at this many lattice dimensions.
 ENUM_MAX_DIM = 8
 
@@ -116,6 +122,16 @@ def rows_to_int64(v: np.ndarray) -> np.ndarray:
     return v.astype(np.int64)
 
 
+def block_update(steps: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The trailing update steps^T @ cols of a swept block, transposed:
+    steps is b x m (row j holds step j of every target row) and cols the
+    b x N block rows of the triangular factor.  np.matmul on a stack of
+    1 x b rows runs one vector-matrix product per target row, so row r's
+    bits do not depend on the other rows; one GEMM over all m rows would
+    make them depend on m."""
+    return np.matmul(np.ascontiguousarray(steps.T)[:, None, :], cols)[:, 0, :].T
+
+
 def nearest_plane_rows(l: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-plane sweep for m targets at once.
 
@@ -123,14 +139,25 @@ def nearest_plane_rows(l: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.nda
     i rounds the coefficient p_i / L_ii and subtracts v_i times column i
     of X, whose coordinates are L[:, i]; the coordinates along Q_{>i} are
     all a later step reads, so column i is free to hold the coefficient.
-    Every operation is elementwise, so a row's bits do not depend on the
-    other rows.  Returns the integer rows v and the pre-rounding
-    coefficients."""
-    coeffs = np.array(p, dtype=float)
+    The sweep runs in blocks of SWEEP_BLOCK columns: a step updates only
+    the rest of its block, and after the block the columns past it take
+    all of its steps at once, v_block @ L[block, past].  For n <=
+    SWEEP_BLOCK that is the plain one-step-at-a-time sweep; past that the
+    coefficients differ from it in the last bits (the sums are taken in
+    another order).  Every operation is elementwise or one product per
+    row, so a row's bits do not depend on the other rows.  Returns the
+    integer rows v and the pre-rounding coefficients."""
+    coeffs = np.array(np.asarray(p, dtype=float).T, order="C")  # row i holds coordinate i
+    n = coeffs.shape[0]
     l_cols = np.ascontiguousarray(l.T)  # row i holds column i of L
-    for i in range(coeffs.shape[1]):
-        coeffs[:, i] /= l[i, i]
-        coeffs[:, i + 1 :] -= np.rint(coeffs[:, i])[:, None] * l_cols[i, i + 1 :]
+    for s in range(0, n, SWEEP_BLOCK):
+        e = min(s + SWEEP_BLOCK, n)
+        for i in range(s, e):
+            coeffs[i] /= l[i, i]
+            coeffs[i + 1 : e] -= l_cols[i, i + 1 : e, None] * np.rint(coeffs[i])
+        if e < n:
+            coeffs[e:] -= block_update(np.rint(coeffs[s:e]), l_cols[s:e, e:])
+    coeffs = np.ascontiguousarray(coeffs.T)
     return rows_to_int64(np.rint(coeffs)), coeffs
 
 

@@ -19,11 +19,14 @@ solve, while gptq and babai are the production paths.  quantize_matrix is
 the one solve path: it factors once (linalg.gram_factor's Cholesky of the
 Gram matrix, or QR of the basis when that is too ill-conditioned), inverts
 L once, and runs one O(m n^2) sweep over the columns for all m rows.
-The single-row functions run the same kernels on one row, and
-cross_layer_target is its one-row wrapper.  Called once per row of a
-layer, cross_layer_target and scaled_quantize share one factorization:
-cached_solver_basis keeps the last lattice factored and hands it back
-while x and mu stay the same.
+The sweep is blocked (GPTQ's lazy batch updates): within a block of
+SWEEP_BLOCK columns each step updates the rest of the block, and after
+the block the columns past it take all of its steps in one vector-matrix
+product per row.  The single-row functions run the same kernels on one
+row, and cross_layer_target is its one-row wrapper.  Called once per row
+of a layer, cross_layer_target and scaled_quantize share one
+factorization: cached_solver_basis keeps the last lattice factored and
+hands it back while x and mu stay the same.
 
 Rank-deficient calibration data (in particular k < n) is handled by
 stacking mu * I under X, which adds mu^2 to every eigenvalue of X^T X;
@@ -44,6 +47,8 @@ import numpy as np
 
 from .lattice import (
     DEFAULT_TIE_TOL,
+    SWEEP_BLOCK,
+    block_update,
     fragile_indices,
     nearest_plane_rows,
     rows_to_int64,
@@ -183,9 +188,15 @@ def solver_basis(x, mu: float | str, reduce_delta: float | None = None) -> Solve
     reduced basis B.  Where gram_factor declines it, ql_decompose(basis)
     supplies l and l_inv and raises RankDeficient or warns
     IllConditionedWarning as the input calls for."""
-    x = check_matrix(x, "x")
+    return _factor_basis(check_matrix(x, "x"), mu, reduce_delta)
+
+
+def _factor_basis(x: np.ndarray, mu: float | str,
+                  reduce_delta: float | None = None) -> SolverBasis:
+    """solver_basis on an x that check_matrix has already returned, so
+    its caller's validation is the only pass over x."""
     mu = resolve_mu(x, mu)
-    x_solver = regularize(x, mu) if mu > 0 else x
+    x_solver = np.vstack([x, mu * np.eye(x.shape[1])]) if mu > 0 else x  # regularize, unchecked
     basis, u = x_solver, None
     if reduce_delta is not None:
         reduced = lll_reduce(x_solver, reduce_delta)
@@ -217,21 +228,26 @@ def cached_solver_basis(x, mu: float | str) -> SolverBasis:
     change the bits of its products.  A hit repeats no warning that the
     factorization issued.  The memo holds the copy and the basis until
     the next miss or clear_basis_memo()."""
+    return _cached_basis(check_matrix(x, "x"), mu)
+
+
+def _cached_basis(x: np.ndarray, mu: float | str) -> SolverBasis:
+    """cached_solver_basis on an x that check_matrix has already returned,
+    so a caller that validated x pays for no second pass over it."""
     global _last_basis
-    x = check_matrix(x, "x")
     if x.flags.c_contiguous:
         order = "C"
     elif x.flags.f_contiguous:
         order = "F"
     else:
-        return solver_basis(x, mu)
+        return _factor_basis(x, mu)
     key = (mu if isinstance(mu, str) else float(mu).hex(), x.shape, order)
     last = _last_basis
     if (last is not None and last[0] == key
             and np.array_equal(last[1].view(np.uint64), x.view(np.uint64))):
         return last[2]
     x = np.copy(x)  # order "K": the same memory order as the caller's
-    sb = solver_basis(x, mu)
+    sb = _factor_basis(x, mu)
     for a in (sb.x, sb.x_solver, sb.basis, sb.l, sb.l_inv):
         a.setflags(write=False)
     _last_basis = key, x, sb
@@ -251,17 +267,35 @@ def _gptq_rows(l_inv: np.ndarray, w: np.ndarray,
     already-fixed ones are untouched.  No later step reads column i, so
     the working array ends up holding the pre-rounding coefficients and v
     is their rounding (in exact arithmetic the update would set column i
-    to v_i).  history, when given, collects the first row's
-    w^(0) .. w^(n), whose first i entries are v_1 .. v_i."""
-    coeffs = np.array(w, dtype=float)
+    to v_i).
+
+    GPTQ's lazy batch updates: the loop runs in blocks of SWEEP_BLOCK
+    columns.  Step i shifts only the rest of its block by
+    (v_i - c_i) / L^-1_ii times column i of L^-1, and after the block the
+    columns past it take all of its shifts in one product per row.  For
+    n <= SWEEP_BLOCK that is the plain one-step-at-a-time loop; past that
+    the coefficients differ from it in the last bits, and a row's bits
+    still do not depend on the other rows.  history, when given, collects
+    the first row's w^(0) .. w^(n), whose first i entries are v_1 .. v_i;
+    a run that keeps it is one block, so it holds the plain loop's bits."""
+    coeffs = np.array(np.asarray(w, dtype=float).T, order="C")  # row i holds coordinate i
+    n = coeffs.shape[0]
+    block = n if history is not None else SWEEP_BLOCK
     l_inv_cols = np.ascontiguousarray(l_inv.T)  # row i holds column i of L^-1
+    l_inv_diag = np.diag(l_inv)[:, None]
     if history is not None:
-        history.append(coeffs[0].copy())
-    for i in range(coeffs.shape[1]):
-        c = coeffs[:, i]
-        coeffs[:, i + 1 :] += ((np.rint(c) - c) / l_inv[i, i])[:, None] * l_inv_cols[i, i + 1 :]
-        if history is not None:
-            history.append(np.concatenate([np.rint(coeffs[0, : i + 1]), coeffs[0, i + 1 :]]))
+        history.append(coeffs[:, 0].copy())
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        for i in range(s, e):
+            c = coeffs[i]
+            coeffs[i + 1 : e] += l_inv_cols[i, i + 1 : e, None] * ((np.rint(c) - c) / l_inv[i, i])
+            if history is not None:
+                history.append(np.concatenate([np.rint(coeffs[: i + 1, 0]), coeffs[i + 1 :, 0]]))
+        if e < n:
+            c = coeffs[s:e]
+            coeffs[e:] += block_update((np.rint(c) - c) / l_inv_diag[s:e], l_inv_cols[s:e, e:])
+    coeffs = np.ascontiguousarray(coeffs.T)
     return rows_to_int64(np.rint(coeffs)), coeffs
 
 
@@ -373,7 +407,7 @@ def scaled_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
     errors are recomputed for the clipped vector."""
     w = check_vector(w, name="w")
     weights, x, _ = _check_layer(w[None, :], x)
-    v, rep = _solve_rows(cached_solver_basis(x, cfg.mu), weights, cfg)[:2]
+    v, rep = _solve_rows(_cached_basis(x, cfg.mu), weights, cfg)[:2]
     return _one_row(v, rep, cfg.alpha, [j for _, j in rep.fragile])
 
 
@@ -426,7 +460,7 @@ def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
     ones take X_solver, and each total is the root of the rows' squares."""
     start = time.perf_counter()
     weights, x, x_target = _check_layer(weights, x, x_target)
-    sb = solver_basis(x, cfg.mu, reduce_delta)
+    sb = _factor_basis(x, cfg.mu, reduce_delta)
     factored = time.perf_counter()
     t = None if x_target is None else _targets(x_target, weights)
     v, report = _solve_rows(sb, weights, cfg, t)[:2]
@@ -537,7 +571,7 @@ def cross_layer_target(x, x_hat, w, cfg: QuantConfig = QuantConfig()) -> CrossLa
     if x.shape != x_hat.shape:
         raise ValueError(f"x and x_hat shapes differ: {x.shape} vs {x_hat.shape}")
     w = check_vector(w, x.shape[1], "w")
-    sb = cached_solver_basis(x_hat, cfg.mu)
+    sb = _cached_basis(x_hat, cfg.mu)
     t = x @ w
     v, rep, (v_b,), (w_hat,) = _solve_rows(
         sb, w[None, :], dataclasses.replace(cfg, algorithm="babai"), t[None, :])

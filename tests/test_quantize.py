@@ -13,6 +13,7 @@ import latquant.linalg
 import latquant.quantize
 import latquant.reduction
 from latquant.lattice import (
+    SWEEP_BLOCK,
     IntegerOverflow,
     LatticeBasis,
     babai_from_target,
@@ -23,6 +24,7 @@ from latquant.lattice import (
 )
 from latquant.linalg import (
     RankDeficient,
+    check_matrix,
     gram_factor,
     invert_lower_triangular,
     l2_norm,
@@ -297,6 +299,19 @@ class TestScaledQuantize:
         assert res.error_l2 == pytest.approx(np.linalg.norm([3.4, -1.9, 0.2]), rel=1e-12)
 
 
+def assert_batch_is_stacked_single_rows(rng, x, weights, algorithm, off_span, **kwargs):
+    """quantize_matrix gives every row of weights the bits of its m = 1
+    solve, aiming at the default target or (off_span) at an x_target off
+    the span of x drawn from rng."""
+    x_target = x + 0.05 * rng.standard_normal(x.shape) if off_span else None
+    cfg = QuantConfig(mu=0.1, alpha=0.3, algorithm=algorithm)
+    v, rep = quantize_matrix(weights, x, cfg, x_target=x_target, **kwargs)
+    rows = [quantize_matrix(w[None, :], x, cfg, x_target=x_target, **kwargs) for w in weights]
+    np.testing.assert_array_equal(v, np.vstack([r[0] for r in rows]))
+    np.testing.assert_array_equal(
+        bits(rep.step_coeffs), bits(np.vstack([r[1].step_coeffs for r in rows])))
+
+
 class TestQuantizeMatrix:
     def test_identical_rows_identical_outputs(self, make_instance):
         x, w = make_instance(41)
@@ -331,14 +346,7 @@ class TestQuantizeMatrix:
         rng = np.random.default_rng(47)
         x = rng.uniform(-1.0, 1.0, (10, 4))
         weights = rng.uniform(-2.0, 2.0, (16, 4))
-        x_target = x + 0.05 * rng.standard_normal(x.shape) if off_span else None
-        cfg = QuantConfig(mu=0.1, alpha=0.3, algorithm=algorithm)
-        v, rep = quantize_matrix(weights, x, cfg, x_target=x_target)
-        rows = [quantize_matrix(w[None, :], x, cfg, x_target=x_target) for w in weights]
-        np.testing.assert_array_equal(v, np.vstack([r[0] for r in rows]))
-        np.testing.assert_array_equal(
-            rep.step_coeffs, np.vstack([r[1].step_coeffs for r in rows])
-        )
+        assert_batch_is_stacked_single_rows(rng, x, weights, algorithm, off_span)
 
     @pytest.mark.parametrize("algorithm, off_span", BATCH_CASES)
     def test_reduced_batch_matches_stacked_single_rows(self, algorithm, off_span):
@@ -346,15 +354,27 @@ class TestQuantizeMatrix:
         rng = np.random.default_rng(53)
         x = rng.uniform(-1.0, 1.0, (12, 6)) @ rng.uniform(-1.0, 1.0, (6, 6))
         weights = rng.uniform(-2.0, 2.0, (16, 6))
-        x_target = x + 0.05 * rng.standard_normal(x.shape) if off_span else None
-        cfg = QuantConfig(mu=0.1, alpha=0.3, algorithm=algorithm)
-        v, rep = quantize_matrix(weights, x, cfg, reduce_delta=0.99, x_target=x_target)
-        rows = [quantize_matrix(w[None, :], x, cfg, reduce_delta=0.99, x_target=x_target)
-                for w in weights]
-        np.testing.assert_array_equal(v, np.vstack([r[0] for r in rows]))
-        np.testing.assert_array_equal(
-            rep.step_coeffs, np.vstack([r[1].step_coeffs for r in rows])
-        )
+        assert_batch_is_stacked_single_rows(rng, x, weights, algorithm, off_span,
+                                            reduce_delta=0.99)
+
+    @pytest.mark.parametrize("algorithm, off_span", BATCH_CASES)
+    def test_batch_matches_stacked_single_rows_past_one_block(self, algorithm, off_span):
+        # n > SWEEP_BLOCK: the block products, too, give every row the bits
+        # of its m = 1 solve
+        rng = np.random.default_rng(59)
+        x = rng.uniform(-1.0, 1.0, (300, 150))
+        weights = rng.uniform(-2.0, 2.0, (16, 150))
+        assert_batch_is_stacked_single_rows(rng, x, weights, algorithm, off_span)
+
+    @pytest.mark.parametrize("algorithm, off_span", BATCH_CASES)
+    def test_reduced_batch_matches_stacked_single_rows_past_one_block(self, algorithm,
+                                                                      off_span):
+        # n = 80 keeps the 9 LLL reductions of a case to about 0.6 s
+        rng = np.random.default_rng(61)
+        x = rng.uniform(-1.0, 1.0, (160, 80))
+        weights = rng.uniform(-2.0, 2.0, (8, 80))
+        assert_batch_is_stacked_single_rows(rng, x, weights, algorithm, off_span,
+                                            reduce_delta=0.99)
 
     def test_overflow_is_an_error_not_a_wrapped_value(self):
         x = np.array([[3.0, 5.0], [1.0, 2.0]])
@@ -757,6 +777,25 @@ class TestBasisMemo:
         assert cached_solver_basis(x, 0.5) is not sb
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("call, names", [
+        (lambda x, w: cross_layer_target(x, x, w, QuantConfig(mu="auto")), ["x", "x_hat"]),
+        (lambda x, w: scaled_quantize(x, w, QuantConfig(mu="auto")), ["weights", "x"]),
+    ])
+    def test_each_matrix_is_validated_once_per_call(self, call, names, monkeypatch):
+        # a miss and a hit alike take one check_matrix pass per input
+        rng = np.random.default_rng(137)
+        x = rng.standard_normal((30, 7))
+        checked = []
+
+        def counting(a, name="matrix", min_rows=1):
+            checked.append(name)
+            return check_matrix(a, name, min_rows)
+
+        monkeypatch.setattr(latquant.quantize, "check_matrix", counting)
+        for w in rng.uniform(-3.0, 3.0, (2, 7)):
+            call(x, w)
+        assert checked == names * 2
+
     def test_gptq_quantize_keeps_nothing(self, monkeypatch):
         # no caller repeats x through gptq_quantize, so it factors every
         # call and leaves the memo alone
@@ -828,9 +867,26 @@ def tie_heavy_lattice(seed: int, n: int):
     return l.astype(float), np.linalg.inv(l)
 
 
+def block_tie_lattice(seed: int, n: int):
+    """L = [[D1, 0], [C, D2]] with D1, D2 diagonal with entries 1 or 2 and
+    C integer in [-2, 2], and its inverse [[D1^-1, 0], [-D2^-1 C D1^-1,
+    D2^-1]].  No entry of either has a denominator past 4, so on
+    half-integer or integer inputs every sum either sweep takes is exact
+    in float64, in any order, and most coefficients are exact ties."""
+    rng = np.random.default_rng(seed)
+    h = n // 2
+    d = rng.integers(1, 3, n).astype(float)
+    c = rng.integers(-2, 3, (n - h, h)).astype(float)
+    l, l_inv = np.diag(d), np.diag(1.0 / d)
+    l[h:, :h] = c
+    l_inv[h:, :h] = -(c / d[h:, None]) / d[None, :h]
+    return l, l_inv
+
+
 class TestSweepKernels:
-    """The two row kernels against the np.outer sweeps they replaced: the
-    same float operations, so the same bits."""
+    """The two row kernels against the np.outer sweeps they replaced: up
+    to SWEEP_BLOCK columns the same float operations, so the same bits;
+    past it the block products sum in another order."""
 
     @pytest.mark.parametrize("m", [1, 512])
     def test_random_rows(self, m):
@@ -857,6 +913,58 @@ class TestSweepKernels:
         assert fragile_indices(want[1].ravel())
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(bits(got[1]), bits(want[1]))
+
+    @pytest.mark.parametrize("m", [1, 300])
+    @pytest.mark.parametrize("n", [SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, 150])
+    def test_block_edges(self, n, m):
+        rng = np.random.default_rng(1000 * n + m)
+        sb = solver_basis(rng.standard_normal((4 * n, n)), 0.2)
+        w = rng.uniform(-8.0, 8.0, (m, n))
+        p = w @ sb.l.T
+        for got, want in ((_gptq_rows(sb.l_inv, w), gptq_rows_outer(sb.l_inv, w)),
+                          (nearest_plane_rows(sb.l, p), nearest_plane_outer(sb.l, p))):
+            if n <= SWEEP_BLOCK:
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(bits(got[1]), bits(want[1]))
+                continue
+            solid = np.ones(m * n, dtype=bool)
+            solid[fragile_indices(got[1].ravel()) + fragile_indices(want[1].ravel())] = False
+            np.testing.assert_array_equal(got[0].ravel()[solid], want[0].ravel()[solid])
+            np.testing.assert_allclose(got[1], want[1], rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want[1])))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_heavy_lattices_past_one_block(self, seed):
+        # exact arithmetic: the block products change no bit, ties included
+        n = SWEEP_BLOCK + 16
+        l, l_inv = block_tie_lattice(seed, n)
+        np.testing.assert_array_equal(l @ l_inv, np.eye(n))
+        rng = np.random.default_rng(139 + seed)
+        w = rng.integers(-16, 17, (64, n)) / 2
+        p = rng.integers(-16, 17, (64, n)).astype(float)
+        for got, want in ((_gptq_rows(l_inv, w), gptq_rows_outer(l_inv, w)),
+                          (nearest_plane_rows(l, p), nearest_plane_outer(l, p))):
+            assert fragile_indices(want[1][:, SWEEP_BLOCK:].ravel())  # ties past the block
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(bits(got[1]), bits(want[1]))
+
+    def test_history_run_past_one_block(self, make_instance):
+        # gptq_quantize keeps w_history, so it sweeps as one block: the
+        # history has the plain loop's bits, and v is the blocked solve's
+        # off fragile coordinates
+        x, w = make_instance(149, n=150, k=300)
+        w = 4.0 * w
+        res = gptq_quantize(x, w, QuantConfig(mu=0.1))
+        v, rep = quantize_matrix(w[None, :], x, QuantConfig(mu=0.1))
+        solid = np.ones(150, dtype=bool)
+        solid[res.fragile + [j for _, j in rep.fragile]] = False
+        np.testing.assert_array_equal(res.v[solid], v[0][solid])
+        history: list[np.ndarray] = []
+        v_outer, _ = gptq_rows_outer(solver_basis(x, 0.1).l_inv, w[None, :], history)
+        np.testing.assert_array_equal(res.v, v_outer[0])
+        assert len(res.w_history) == len(history) == 151
+        for got, want in zip(res.w_history, history):
+            np.testing.assert_array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_w_history_matches_entry_for_entry(self, seed, make_instance):

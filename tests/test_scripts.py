@@ -3,6 +3,7 @@ a small size."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,17 @@ def test_script_runs(script):
     proc = run_script(script, "--instances", "20", "--max-n", "6")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_equivalence_sweep_crosses_the_sweep_block():
+    # babai_nearest_plane runs the blocked kernel past n = 64, gptq_quantize
+    # the one-block sweep; every non-fragile instance must still agree
+    proc = run_script("run_equivalence_sweep.py", "--min-n", "60", "--max-n", "100",
+                      "--instances", "3")
+    assert proc.returncode == 0, proc.stderr
+    agree, checked = re.search(r"agreement: (\d+)/(\d+)", proc.stdout).groups()
+    assert agree == checked != "0"
+    assert int(re.search(r"past one sweep block \(n > 64\): (\d+)", proc.stdout)[1]) > 0
 
 
 def test_lll_payoff_runs_at_larger_n():
