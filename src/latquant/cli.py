@@ -7,7 +7,6 @@ Exit codes: 0 success / 1 solver disagreement or guarantee violation /
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 import time
@@ -24,13 +23,7 @@ from .lattice import (
 )
 from .linalg import NotPositiveDefinite, RankDeficient, l2_norm, ql_decompose
 from .matio import ParseError, RaggedRows, load_matrix_csv, save_matrix_csv
-from .quantize import (
-    QuantConfig,
-    cached_solver_basis,
-    quantize_matrix,
-    scaled_quantize,
-    solver_basis,
-)
+from .quantize import QuantConfig, compare_algorithms, quantize_matrix, solver_basis
 from .reduction import DEFAULT_DELTA, lll_reduce, map_solution
 from .report import Report
 
@@ -45,6 +38,18 @@ def _parse_mu(text: str):
     except ValueError:
         raise ValueError(f"--mu expects a number or 'auto', got {text!r}") from None
     return value
+
+
+def _parse_delta(text: str) -> float:
+    """--delta, refused where argparse reads it (before a command prints
+    or writes anything) when lll_reduce would refuse it."""
+    try:
+        delta = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.25 < delta < 1.0:
+        raise argparse.ArgumentTypeError(f"delta must be in (0.25, 1), got {delta}")
+    return delta
 
 
 def _parse_clamp(text: str) -> tuple[int, int]:
@@ -140,62 +145,42 @@ def _cmd_quantize(args) -> int:
     return 0
 
 
-def _compare_instance(x: np.ndarray, w: np.ndarray, cfg: QuantConfig):
-    """Run all four solvers on one row; agreement ignores fragile coords."""
-    results = {
-        algo: scaled_quantize(x, w, dataclasses.replace(cfg, algorithm=algo))
-        for algo in ("gptq", "gptq_rec", "babai", "babai_proj_rec")
-    }
-    fragile: set[int] = set()
-    for res in results.values():
-        fragile.update(res.fragile)
-    solid = np.setdiff1d(np.arange(w.size), np.array(sorted(fragile), dtype=int))
-    reference = results["gptq"].v[solid]
-    agree = all(np.array_equal(res.v[solid], reference) for res in results.values())
-    return results, agree, fragile
-
-
 def _cmd_compare(args) -> int:
     cfg = _config(args)
     start = time.perf_counter()
-    all_agree = True
-    fragile_total = 0
-    instances: list[tuple[np.ndarray, np.ndarray]] = []
-
     if args.random:
         n, k = _parse_random(args.random)
         if args.seeds < 1:
             raise ValueError("--seeds must be >= 1")
+        layers = []
         for s in range(args.seeds):
             seed = args.seed + s
             rng = np.random.default_rng(seed)
-            instances.append((rng.uniform(-1, 1, (k, n)), rng.uniform(-1, 1, n)))
+            layers.append((rng.uniform(-1, 1, (k, n)), rng.uniform(-1, 1, (1, n))))
             print(f"instance {s}: seed={seed}")
     else:
         if not (args.weights and args.calib):
             raise ValueError("compare needs --weights/--calib or --random n,k")
-        x = load_matrix_csv(args.calib)
-        weights = load_matrix_csv(args.weights)
-        instances = [(x, weights[i]) for i in range(weights.shape[0])]
+        layers = [(load_matrix_csv(args.calib), load_matrix_csv(args.weights))]
 
-    last = None
-    for idx, (x, w) in enumerate(instances):
-        results, agree, fragile = _compare_instance(x, w, cfg)
-        fragile_total += len(fragile)
-        all_agree &= agree
-        last = (x, w, results)
-        print(f"instance {idx}: agree={agree} fragile={len(fragile)}")
+    all_agree = True
+    fragile_total = rows = 0
+    for x, weights in layers:
+        runs, fragile_rows, agree_rows, ref = compare_algorithms(weights, x, cfg)
+        for agree, fragile in zip(agree_rows, fragile_rows):
+            print(f"instance {rows}: agree={agree} fragile={len(fragile)}")
+            fragile_total += len(fragile)
+            all_agree &= agree
+            rows += 1
     wall_ms = (time.perf_counter() - start) * 1e3
 
-    x, w, results = last
-    ref = results["gptq"]
-    sb = cached_solver_basis(x, cfg.mu)  # the last instance's, factored above
-    abs_bound = absolute_error_bound(np.diag(sb.l))
-    gamma = relative_error_factor(np.diag(sb.l))
+    rep = runs["gptq"][1]  # ref and rep are the last instance's
+    abs_bound = absolute_error_bound(rep.l_diag)
+    gamma = relative_error_factor(rep.l_diag)
     report = Report(
         algorithm="compare",
         n=x.shape[1], k=x.shape[0], m=1,
-        mu=sb.mu, alpha=cfg.alpha, delta=args.delta,
+        mu=rep.mu, alpha=cfg.alpha, delta=DEFAULT_DELTA,
         error_l2=ref.error_l2, error_regularized=ref.error_regularized,
         bound_abs_paper=cfg.alpha * abs_bound.paper,
         bound_abs_halfstep=cfg.alpha * abs_bound.half_step,
@@ -207,7 +192,7 @@ def _cmd_compare(args) -> int:
         agreement=all_agree,
     )
     _write_outputs(args, report)
-    print(f"agreement={all_agree} over {len(instances)} instance(s), "
+    print(f"agreement={all_agree} over {rows} instance(s), "
           f"fragile={fragile_total}")
     return 0 if all_agree else 1
 
@@ -242,8 +227,11 @@ def _cmd_oracle(args) -> int:
     if args.target:
         t = load_matrix_csv(args.target).ravel()
     elif args.weights:
-        w = load_matrix_csv(args.weights)[0]
-        t = x @ w
+        weights = load_matrix_csv(args.weights)
+        if weights.shape[1] != x.shape[1]:
+            raise ValueError(f"weights have {weights.shape[1]} columns, "
+                             f"calibration has {x.shape[1]}")
+        t = x @ weights[0]
     else:
         raise ValueError("oracle needs --target or --weights")
     if t.size != x.shape[0]:
@@ -323,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_mu_delta(p):
         p.add_argument("--mu", default="0", help="regularizer (number or 'auto')")
-        p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
-                       help="LLL reduction parameter")
+        p.add_argument("--delta", type=_parse_delta, default=DEFAULT_DELTA,
+                       help="LLL reduction parameter, in (0.25, 1)")
 
     q = sub.add_parser("quantize", help="quantize a weight matrix")
     q.add_argument("--weights", required=True, help="weight matrix CSV (m x n)")
@@ -345,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generate random instances instead of reading files")
     c.add_argument("--seeds", type=int, default=1, help="number of random instances")
     c.add_argument("--seed", type=int, default=0, help="base seed")
-    add_mu_delta(c)
+    c.add_argument("--mu", default="0", help="regularizer (number or 'auto')")
     c.add_argument("--alpha", type=float, default=1.0, help="alphabet scale")
     c.add_argument("--report", default=None)
     c.set_defaults(func=_cmd_compare, algo="gptq", clamp=None)
@@ -368,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("reduce", help="LLL-reduce a basis and save the transform")
     r.add_argument("--calib", required=True)
-    r.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    r.add_argument("--delta", type=_parse_delta, default=DEFAULT_DELTA)
     r.add_argument("--out", default="reduced.csv")
     r.add_argument("--out-unimodular", default="unimodular.csv")
     r.set_defaults(func=_cmd_reduce)

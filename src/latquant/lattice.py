@@ -206,8 +206,7 @@ def _candidate_blocks(n: int, radius: int):
         yield block
 
 
-def brute_force_cvp(basis: LatticeBasis, t, radius: int = 2,
-                    tie_tol: float = DEFAULT_TIE_TOL) -> CvpSolution:
+def brute_force_cvp(basis: LatticeBasis, t, radius: int = 2) -> CvpSolution:
     """Exhaustive closest-vector search over a box of integer vectors.
 
     The box is centered on the rounded real least-squares solution of
@@ -268,7 +267,6 @@ def brute_force_cvp(basis: LatticeBasis, t, radius: int = 2,
         residual=residual,
         error_l2=err,
         step_coeffs=c_real,
-        fragile=[],
         boundary_hit=boundary_hit,
         certified=certified,
     )

@@ -23,10 +23,10 @@ The sweep is blocked (GPTQ's lazy batch updates): within a block of
 SWEEP_BLOCK columns each step updates the rest of the block, and after
 the block the columns past it take all of its steps in one vector-matrix
 product per row.  The single-row functions run the same kernels on one
-row, and cross_layer_target is its one-row wrapper.  Called once per row
-of a layer, cross_layer_target and scaled_quantize share one
-factorization: cached_solver_basis keeps the last lattice factored and
-hands it back while x and mu stay the same.
+row, and compare_algorithms runs all four over a layer's rows on one
+factorization.  cross_layer_target, the one-row cross-layer call, alone
+keeps the last lattice it factored (_cached_basis) while x_hat and mu
+stay the same, so a layer quantized row by row factors once.
 
 Rank-deficient calibration data (in particular k < n) is handled by
 stacking mu * I under X, which adds mu^2 to every eigenvalue of X^T X;
@@ -210,30 +210,23 @@ def _factor_basis(x: np.ndarray, mu: float | str,
     return SolverBasis(x, x_solver, mu, basis, *factor, route, u)
 
 
-# The last basis cached_solver_basis factored: (key, private copy of x,
-# basis).  It is one tuple, replaced whole, so a reader never pairs one
-# call's key with another call's basis.
+# The last basis _cached_basis factored: (key, private copy of x, basis).
+# It is one tuple, replaced whole, so a reader never pairs one call's key
+# with another call's basis.
 _last_basis: tuple | None = None
 
 
-def cached_solver_basis(x, mu: float | str) -> SolverBasis:
-    """solver_basis(x, mu) through a one-entry memo, for the entry points
-    that run once per row of a layer (cross_layer_target, scaled_quantize).
-    A call with the configured mu, the shape, the memory order and the
-    bits of x of the previous call gets that call's basis back; any other
-    call factors again.  The basis is built on a private copy of x and its
-    arrays are read-only, so no write to the caller's array or to the
-    result can reach the memo.  An x that is neither C- nor F-contiguous
-    is neither looked up nor memoized, since a contiguous copy could
-    change the bits of its products.  A hit repeats no warning that the
-    factorization issued.  The memo holds the copy and the basis until
-    the next miss or clear_basis_memo()."""
-    return _cached_basis(check_matrix(x, "x"), mu)
-
-
 def _cached_basis(x: np.ndarray, mu: float | str) -> SolverBasis:
-    """cached_solver_basis on an x that check_matrix has already returned,
-    so a caller that validated x pays for no second pass over it."""
+    """_factor_basis(x, mu) through a one-entry memo, for cross_layer_target
+    on an x that check_matrix has returned.  A call with the configured mu,
+    the shape, the memory order and the bits of x of the previous call gets
+    that call's basis back; any other call factors again.  The basis is
+    built on a private copy of x and its arrays are read-only, so no write
+    to the caller's array or to the result can reach the memo.  An x that
+    is neither C- nor F-contiguous is not memoized, since a contiguous copy
+    could change the bits of its products.  A hit repeats no warning.  The
+    memo holds the copy and the basis until the next miss or
+    clear_basis_memo()."""
     global _last_basis
     if x.flags.c_contiguous:
         order = "C"
@@ -255,7 +248,7 @@ def _cached_basis(x: np.ndarray, mu: float | str) -> SolverBasis:
 
 
 def clear_basis_memo() -> None:
-    """Release the basis cached_solver_basis holds; the next call factors."""
+    """Release the basis _cached_basis holds; the next call factors."""
     global _last_basis
     _last_basis = None
 
@@ -405,9 +398,7 @@ def scaled_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
     values = alpha * v; the error is ||X w - alpha X v||.  When clamp is
     set, v is clipped coordinatewise after the sequential run and the
     errors are recomputed for the clipped vector."""
-    w = check_vector(w, name="w")
-    weights, x, _ = _check_layer(w[None, :], x)
-    v, rep = _solve_rows(_cached_basis(x, cfg.mu), weights, cfg)[:2]
+    v, rep = quantize_matrix(check_vector(w, name="w")[None, :], x, cfg)
     return _one_row(v, rep, cfg.alpha, [j for _, j in rep.fragile])
 
 
@@ -537,6 +528,29 @@ def _solve_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig,
     return v_out, report, v, w_basis
 
 
+def compare_algorithms(weights, x, cfg: QuantConfig = QuantConfig()
+                       ) -> tuple[dict, list[list[int]], list[bool], QuantResult]:
+    """Run the four algorithms (whatever cfg.algorithm says) over the rows
+    of weights on one factorization of x.  Returns runs, each algorithm's
+    v and report, whose row r has scaled_quantize's v, coefficients and
+    fragile set on that row; fragile[r], the coordinates of row r any run
+    flags; agree[r], whether the runs agree on row r off those; and last,
+    gptq on the last row alone: the error of an m-row product can round
+    differently from scaled_quantize's one-row product."""
+    weights, x, _ = _check_layer(weights, x)
+    sb = _factor_basis(x, cfg.mu)
+    runs = {a: _solve_rows(sb, weights, dataclasses.replace(cfg, algorithm=a))[:2]
+            for a in ALGORITHMS}
+    flagged = np.zeros(weights.shape, dtype=bool)
+    for _, rep in runs.values():
+        for r, j in rep.fragile:
+            flagged[r, j] = True
+    agree = np.all([(v == runs["gptq"][0]) | flagged for v, _ in runs.values()], axis=(0, 2))
+    v, rep = _solve_rows(sb, weights[-1:], dataclasses.replace(cfg, algorithm="gptq"))[:2]
+    last = _one_row(v, rep, cfg.alpha, [j for _, j in rep.fragile])
+    return runs, [np.flatnonzero(f).tolist() for f in flagged], agree.tolist(), last
+
+
 @dataclass(eq=False)
 class CrossLayerResult:
     """Both solution routes for a cross-layer target, plus diagnostics.
@@ -565,7 +579,7 @@ def cross_layer_target(x, x_hat, w, cfg: QuantConfig = QuantConfig()) -> CrossLa
     compares the two before the clamp.  t is zero on the mu * I rows,
     which keeps the routes exactly equivalent for every mu >= 0.
     Consecutive calls on the same x_hat and mu share one factorization
-    (cached_solver_basis)."""
+    (_cached_basis)."""
     x = check_matrix(x, "x")
     x_hat = check_matrix(x_hat, "x_hat")
     if x.shape != x_hat.shape:

@@ -11,8 +11,8 @@ WORKED = np.array([[3.0, 5.0], [1.0, 2.0]])
 
 @pytest.fixture(autouse=True)
 def fresh_basis_memo(monkeypatch):
-    """Every test starts with an empty cached_solver_basis memo, so no
-    factorization carries over from an earlier test."""
+    """Every test starts with an empty basis memo (quantize._cached_basis),
+    so no factorization carries over from an earlier test."""
     monkeypatch.setattr(latquant.quantize, "_last_basis", None)
 
 

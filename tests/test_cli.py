@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -10,7 +11,13 @@ from latquant.cli import main
 from latquant.lattice import LatticeBasis, babai_from_target
 from latquant.linalg import GRAM_COND_MAX
 from latquant.matio import load_matrix_csv, save_matrix_csv
-from latquant.quantize import QuantConfig, quantize_matrix
+from latquant.quantize import (
+    ALGORITHMS,
+    QuantConfig,
+    compare_algorithms,
+    quantize_matrix,
+    scaled_quantize,
+)
 from latquant.reduction import DEFAULT_DELTA, lll_reduce, map_solution
 from latquant.report import REPORT_SCHEMA
 
@@ -321,6 +328,85 @@ class TestCompare:
                      "--report", str(workdir / "r.json")]) == 0
         assert calls == [(5, 5)]
 
+    @pytest.mark.parametrize("x, weights, mu, alpha", [
+        (np.random.default_rng(5).uniform(-1, 1, (30, 9)),
+         np.random.default_rng(6).uniform(-2, 2, (12, 9)), "auto", 0.5),
+        # exact ties: fragile coordinates in some rows, not in others
+        (np.eye(4), [[2.5, 0.3, -1.5, 0.2], [0.1, 0.2, 0.3, 0.4], [3.5, 0.5, 0.5, 1.0]],
+         "0", 1.0),
+    ])
+    def test_file_based_rows_match_the_one_row_solver(self, workdir, capsys, x, weights,
+                                                      mu, alpha):
+        calib = write(workdir / "X.csv", x)
+        wfile = write(workdir / "W.csv", weights)
+        assert main(["compare", "--weights", wfile, "--calib", calib, "--mu", mu,
+                     "--alpha", str(alpha), "--report", "r.json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        x, weights = load_matrix_csv(calib), load_matrix_csv(wfile)
+        cfg = QuantConfig(mu=mu if mu == "auto" else float(mu), alpha=alpha)
+        runs, fragile, agree, _ = compare_algorithms(weights, x, cfg)
+        for r, w in enumerate(weights):
+            union = set()
+            for algo in ALGORITHMS:
+                one = scaled_quantize(x, w, dataclasses.replace(cfg, algorithm=algo))
+                v, rep = runs[algo]
+                np.testing.assert_array_equal(v[r], one.v)
+                assert rep.step_coeffs[r].tobytes() == one.step_coeffs.tobytes()
+                assert [j for i, j in rep.fragile if i == r] == one.fragile
+                union.update(one.fragile)
+            assert fragile[r] == sorted(union) and agree[r] is True
+            assert lines[r] == f"instance {r}: agree=True fragile={len(union)}"
+        # the report's row is solved alone: the errors of an m-row product
+        # may round differently from those of the one-row product
+        data, _ = read_report(workdir / "r.json")
+        ref = scaled_quantize(x, weights[-1], cfg)
+        assert data["v"] == ref.v.tolist()
+        assert data["step_coeffs"] == ref.step_coeffs.tolist()
+        assert data["error_l2"] == ref.error_l2
+        assert data["error_regularized"] == ref.error_regularized
+        assert data["fragile_count"] == sum(map(len, fragile))
+
+    def test_has_no_delta_option(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--random", "3,5", "--delta", "0.75"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --delta" in capsys.readouterr().err
+
+
+class TestDeltaOption:
+    """--delta outside (0.25, 1) is refused where argparse reads it, before
+    a command prints or writes anything, with lll_reduce's message."""
+
+    def test_bounds_prints_nothing(self, workdir, capsys):
+        calib = write(workdir / "X.csv", [[3.0, 5.0], [1.0, 2.0]])
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--calib", calib, "--reduce", "lll", "--delta", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --delta: delta must be in (0.25, 1), got 2.0" in captured.err
+
+    @pytest.mark.parametrize("delta", ["7", "0.25", "1", "nan", "-inf"])
+    def test_quantize_without_reduce_writes_nothing(self, workdir, capsys, delta):
+        calib = write(workdir / "X.csv", np.eye(2))
+        weights = write(workdir / "W.csv", [[0.4, 1.6]])
+        with pytest.raises(SystemExit) as exc:
+            main(["quantize", "--weights", weights, "--calib", calib, f"--delta={delta}"])
+        assert exc.value.code == 2
+        assert "delta must be in (0.25, 1)" in capsys.readouterr().err
+        assert not (workdir / "V.csv").exists() and not (workdir / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["oracle", "reduce"])
+    def test_other_commands(self, workdir, capsys, command):
+        calib = write(workdir / "X.csv", np.eye(2))
+        target = ["--target", write(workdir / "T.csv", [[0.4, 0.4]])] * (command == "oracle")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--calib", calib, *target, "--delta", "0.2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "got 0.2" in captured.err
+        assert main([command, "--calib", calib, *target, "--delta", "0.5"]) == 0
+
 
 class TestBounds:
     def _parse(self, out, key):
@@ -447,6 +533,14 @@ class TestOracle:
         calib = write(workdir / "X.csv", np.eye(9))
         target = write(workdir / "T.csv", [np.zeros(9)])
         assert main(["oracle", "--calib", calib, "--target", target]) == 2
+
+    def test_weights_width_mismatch_exits_2(self, workdir, capsys):
+        calib = write(workdir / "X.csv", [[3.0, 5.0], [1.0, 2.0]])
+        weights = write(workdir / "W.csv", [[0.4, 0.7, 0.1]])
+        assert main(["oracle", "--calib", calib, "--weights", weights]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: weights have 3 columns, calibration has 2\n"
 
     def test_needs_target_or_weights(self, workdir):
         calib = write(workdir / "X.csv", np.eye(2))

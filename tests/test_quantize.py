@@ -33,8 +33,8 @@ from latquant.linalg import (
 from latquant.quantize import (
     ALGORITHMS,
     QuantConfig,
+    _cached_basis,
     _gptq_rows,
-    cached_solver_basis,
     clear_basis_memo,
     cross_layer_target,
     gptq_quantize,
@@ -665,8 +665,9 @@ def assert_same_cross_layer(got, want):
 
 
 class TestBasisMemo:
-    """cross_layer_target and scaled_quantize share one factorization
-    across calls on the same lattice, through cached_solver_basis."""
+    """cross_layer_target shares one factorization across calls on the
+    same lattice, through the one-entry memo _cached_basis; no other entry
+    point reads or fills it."""
 
     def fresh(self, monkeypatch, *args):
         clear_basis_memo()
@@ -740,28 +741,28 @@ class TestBasisMemo:
 
     def test_the_memo_keeps_a_private_read_only_copy(self):
         x = np.random.default_rng(103).standard_normal((20, 5))
-        sb = cached_solver_basis(x, 0.5)
-        assert cached_solver_basis(x.copy(), 0.5) is sb
+        sb = _cached_basis(x, 0.5)
+        assert _cached_basis(x.copy(), 0.5) is sb
         assert not np.shares_memory(sb.x, x)
         for a in (sb.x, sb.x_solver, sb.basis, sb.l, sb.l_inv):
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = 1.0
         x[0, 0] += 1.0
-        assert cached_solver_basis(x, 0.5) is not sb
+        assert _cached_basis(x, 0.5) is not sb
 
     def test_strided_input_is_not_memoized(self, monkeypatch):
         rng = np.random.default_rng(107)
         x = rng.standard_normal((30, 12))[:, ::2]
         calls = count_gram_factors(monkeypatch)
         for _ in range(2):
-            scaled_quantize(x, rng.uniform(-2.0, 2.0, 6))
+            cross_layer_target(x, x, rng.uniform(-2.0, 2.0, 6))
         assert len(calls) == 2
         assert latquant.quantize._last_basis is None
         # a strided x with the values and shape of the memoized F-ordered
         # one is not looked up: it gets the basis of its own products
         x_f = np.asfortranarray(x)
-        sb_f = cached_solver_basis(x_f, 0.4)
-        sb = cached_solver_basis(x, 0.4)
+        sb_f = _cached_basis(x_f, 0.4)
+        sb = _cached_basis(x, 0.4)
         assert len(calls) == 4
         assert sb is not sb_f and latquant.quantize._last_basis[2] is sb_f
         want = solver_basis(x, 0.4)
@@ -771,10 +772,10 @@ class TestBasisMemo:
     def test_clear_basis_memo_releases_the_basis(self, monkeypatch):
         x = np.random.default_rng(113).standard_normal((20, 5))
         calls = count_gram_factors(monkeypatch)
-        sb = cached_solver_basis(x, 0.5)
+        sb = _cached_basis(x, 0.5)
         clear_basis_memo()
         assert latquant.quantize._last_basis is None
-        assert cached_solver_basis(x, 0.5) is not sb
+        assert _cached_basis(x, 0.5) is not sb
         assert len(calls) == 2
 
     @pytest.mark.parametrize("call, names", [
@@ -782,7 +783,7 @@ class TestBasisMemo:
         (lambda x, w: scaled_quantize(x, w, QuantConfig(mu="auto")), ["weights", "x"]),
     ])
     def test_each_matrix_is_validated_once_per_call(self, call, names, monkeypatch):
-        # a miss and a hit alike take one check_matrix pass per input
+        # a memo miss and a hit alike take one check_matrix pass per input
         rng = np.random.default_rng(137)
         x = rng.standard_normal((30, 7))
         checked = []
@@ -808,24 +809,22 @@ class TestBasisMemo:
         assert latquant.quantize._last_basis is None
 
     @pytest.mark.parametrize("call", [
-        lambda x, w: scaled_quantize(x, w),
+        scaled_quantize,
         lambda x, w: scaled_quantize(x, w, QuantConfig(algorithm="babai")),
-        lambda x, w: gptq_quantize_recursive(x, w),
-    ])
-    def test_one_row_wrappers_share_the_factorization(self, call, monkeypatch):
-        rng = np.random.default_rng(109)
+        gptq_quantize_recursive,
+    ], ids=["scaled_quantize-gptq", "scaled_quantize-babai", "gptq_quantize_recursive"])
+    def test_one_row_wrappers_keep_nothing(self, call, monkeypatch):
+        # the one-row wrappers of quantize_matrix factor on every call, even
+        # with a memo entry for that x and mu, and leave the memo as it was
+        rng = np.random.default_rng(127)
         x = rng.standard_normal((30, 7))
-        weights = rng.uniform(-3.0, 3.0, (5, 7))
+        _cached_basis(x, 0.0)
+        memo = latquant.quantize._last_basis
         calls = count_gram_factors(monkeypatch)
-        results = [call(x, w) for w in weights]
-        assert len(calls) == 1
-        clear_basis_memo()
-        for w, got in zip(weights, results):
-            want = call(x, w)
-            clear_basis_memo()
-            np.testing.assert_array_equal(got.v, want.v)
-            for a, b in ((got.error_l2, want.error_l2), (got.step_coeffs, want.step_coeffs)):
-                np.testing.assert_array_equal(bits(a), bits(b))
+        for w in rng.uniform(-3.0, 3.0, (3, 7)):
+            call(x, w)
+        assert len(calls) == 3
+        assert latquant.quantize._last_basis is memo
 
 
 def gptq_rows_outer(l_inv, w, history=None):
