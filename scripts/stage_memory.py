@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Peak and current memory after each stage of a quantize job, in process.
+
+Runs the stages of `latquant quantize` one after another in this process:
+imports (numpy and latquant), parse (W, then X), factor (validation, mu and
+the factorization), solve (the row sweep and the row errors) and write
+(V.csv).  After each stage it prints the process's peak resident set size
+(VmHWM) and current one (VmRSS) from /proc/self/status, in MB of 1024 kB
+as perfbench reports `peak_rss_mb`, and the stage's wall time.  Where
+/proc is missing, the peak comes from resource.getrusage and the current
+size reads n/a.
+
+Usage:
+    python scripts/stage_memory.py --weights W.csv --calib X.csv --mu auto \
+        --alpha 0.0221 --out V.csv
+"""
+
+import argparse
+import resource
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+
+def memory_mb() -> tuple[float, float | None]:
+    """(VmHWM, VmRSS) of this process in MB; VmRSS is None without /proc."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            fields = dict(line.split(":", 1) for line in fh if ":" in line)
+        return (int(fields["VmHWM"].split()[0]) / 1024.0,
+                int(fields["VmRSS"].split()[0]) / 1024.0)
+    except (OSError, KeyError, ValueError):
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, None
+
+
+def report(stage: str, seconds: float) -> None:
+    hwm, rss = memory_mb()
+    rss_text = "n/a" if rss is None else f"{rss:.1f}"
+    print(f"{stage:<8} VmHWM {hwm:7.1f} MB  VmRSS {rss_text:>7} MB  {seconds:7.3f} s",
+          flush=True)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--weights", required=True)
+    ap.add_argument("--calib", required=True)
+    ap.add_argument("--mu", default="auto", help="regularizer (number or 'auto')")
+    ap.add_argument("--alpha", type=float, default=1.0, help="alphabet scale")
+    ap.add_argument("--out", default=None, help="V.csv path (default: a temporary file)")
+    args = ap.parse_args(argv)
+    report("start", 0.0)
+
+    # imported here, so the first stage measures what the imports cost
+    start = time.perf_counter()
+    from latquant import matio, quantize
+    report("imports", time.perf_counter() - start)
+
+    start = time.perf_counter()
+    weights = matio.load_matrix_csv(args.weights)
+    x = matio.load_matrix_csv(args.calib)
+    report("parse", time.perf_counter() - start)
+
+    cfg = quantize.QuantConfig(mu=args.mu if args.mu == "auto" else float(args.mu),
+                               alpha=args.alpha)
+    start = time.perf_counter()
+    sb = quantize.solver_basis(x, cfg.mu)
+    report("factor", time.perf_counter() - start)
+
+    start = time.perf_counter()
+    v, rep = quantize._solve_rows(sb, weights, cfg)[:2]
+    report("solve", time.perf_counter() - start)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(args.out) if args.out else Path(tmp) / "V.csv"
+        start = time.perf_counter()
+        matio.save_matrix_csv(out, v)
+        report("write", time.perf_counter() - start)
+    print(f"error_l2 {rep.total_error_l2!r} over {v.shape[0]} rows")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,19 +6,31 @@ string that parses back to the same double, so parse(serialize(m)) == m
 bitwise for every finite matrix.
 
 Parsing fills a preallocated array one line at a time, with Python's own
-float() on every field, and checks finiteness once at the end.  Only when
-that fails (a token float() refuses, a wrong field count or a non-finite
-value) does the per-field loop run again over the same lines, and only to
-raise ParseError or RaggedRows at the first bad line and field.  Both
-paths call float() on the same tokens, so they accept the same grammar
-and produce the same bits.
+float() on every field, and checks finiteness once at the end.
+load_matrix_csv streams the file: it counts the lines in one pass, then
+reads CHUNK_BYTES at a time, decodes each chunk's complete lines and
+carries the partial last line into the next chunk, so it holds the array
+and a few chunks, never the whole text.  parse_matrix_csv runs the same
+line loop over text in memory.  The grammar is the same either way.
+Only when the loop fails (invalid UTF-8, a token float() refuses, a wrong
+field count or a non-finite value) does the per-field loop run over the
+whole text, re-read from the start for a file, and only to raise
+ParseError or RaggedRows at the first bad line and field.  Both loops
+call float() on the same tokens, so they accept the same grammar and
+produce the same bits.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import islice
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
+
+# Bytes load_matrix_csv reads at a time.
+CHUNK_BYTES = 1 << 20
 
 
 class ParseError(ValueError):
@@ -56,23 +68,29 @@ def parse_matrix_csv(text: bytes | str, expect_header: bool = False) -> np.ndarr
         raise ParseError(1, 1, "", "empty input")
 
     body = lines[start:]
-    out = _parse_bulk(body)
+    out = _parse_bulk(iter(body), len(body))
     return out if out is not None else _parse_fields(body, start + 1)
 
 
-def _parse_bulk(lines: list[str]) -> np.ndarray | None:
-    """The fast path: None when a line needs the per-field parser."""
-    ncols = len(lines[0].rstrip("\r").split(","))
-    out = np.empty((len(lines), ncols))
-    for i, line in enumerate(lines):
+def _parse_bulk(lines: Iterator[str], nrows: int) -> np.ndarray | None:
+    """The line loop: nrows lines into one preallocated array, or None
+    when a line needs the per-field parser or there are not nrows lines."""
+    out, ncols, count = None, 0, 0
+    for line in lines:
         fields = line.rstrip("\r").split(",")
-        if len(fields) != ncols:
+        if out is None:
+            ncols = len(fields)
+            out = np.empty((nrows, ncols))
+        if len(fields) != ncols or count == nrows:
             return None
         try:
-            out[i] = np.fromiter(map(float, fields), float, count=ncols)
+            out[count] = np.fromiter(map(float, fields), float, count=ncols)
         except ValueError:
             return None
-    return out if np.isfinite(out).all() else None
+        count += 1
+    if out is None or count != nrows or not np.isfinite(out).all():
+        return None
+    return out
 
 
 def _parse_fields(lines: list[str], first_lineno: int) -> np.ndarray:
@@ -115,7 +133,47 @@ def serialize_matrix_csv(matrix: np.ndarray) -> str:
 
 
 def load_matrix_csv(path, expect_header: bool = False) -> np.ndarray:
-    return parse_matrix_csv(Path(path).read_bytes(), expect_header=expect_header)
+    """parse_matrix_csv of the file's bytes, streamed CHUNK_BYTES at a
+    time; where the line loop fails, the file is parsed again whole for
+    the exact error."""
+    path = Path(path)
+    start = 1 if expect_header else 0
+    with path.open("rb") as f:
+        nrows = _count_lines(f) - start
+        f.seek(0)
+        try:
+            out = _parse_bulk(islice(_file_lines(f), start, None), nrows)
+        except UnicodeDecodeError:
+            out = None
+    return out if out is not None else parse_matrix_csv(path.read_bytes(), expect_header)
+
+
+def _count_lines(f: BinaryIO) -> int:
+    """The number of lines parse_matrix_csv splits f's bytes into: its
+    newlines, plus a last line without one."""
+    count, last = 0, b"\n"
+    while chunk := f.read(CHUNK_BYTES):
+        count += chunk.count(b"\n")
+        last = chunk[-1:]
+    return count + (last != b"\n")
+
+
+def _file_lines(f: BinaryIO) -> Iterator[str]:
+    """The lines of f decoded as UTF-8, read CHUNK_BYTES at a time.  A
+    chunk's complete lines are decoded together and its partial last line
+    goes ahead of the next chunk; a newline byte never falls inside a
+    UTF-8 sequence, so the lines are those of the decoded whole.  Raises
+    UnicodeDecodeError on invalid UTF-8."""
+    carry = b""
+    while chunk := f.read(CHUNK_BYTES):
+        buf = carry + chunk
+        cut = buf.rfind(b"\n") + 1
+        carry = buf[cut:]
+        lines = buf[:cut].decode("utf-8").split("\n")
+        lines.pop()  # the empty string after the last newline
+        yield from lines
+    if carry:
+        yield carry.decode("utf-8")
 
 
 def save_matrix_csv(path, matrix: np.ndarray) -> None:

@@ -30,7 +30,9 @@ stay the same, so a layer quantized row by row factors once.
 
 Rank-deficient calibration data (in particular k < n) is handled by
 stacking mu * I under X, which adds mu^2 to every eigenvalue of X^T X;
-mu -> infinity degenerates to plain round(w).  Reported errors always
+mu -> infinity degenerates to plain round(w).  The Cholesky route adds
+mu^2 to the diagonal of X^T X and never forms the stack; only what needs
+the basis itself builds it (SolverBasis.x_solver).  Reported errors always
 refer to the original X, with the regularized objective carried
 separately.  The alphabet alpha * Z is handled by solving for w / alpha,
 and an optional [lo, hi] clamp is applied to v after the full run.
@@ -42,6 +44,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +68,9 @@ from .linalg import (
 from .reduction import lll_reduce, map_solution
 
 ALGORITHMS = ("gptq", "gptq_rec", "babai", "babai_proj_rec")
+
+# Rows per product in _row_errors: the residual it holds is ROW_BLOCK x k.
+ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -147,67 +153,91 @@ def regularize(x, mu: float) -> np.ndarray:
     x = check_matrix(x, "x", min_rows=0)  # k = 0 is legal: no data at all
     if not mu > 0:
         raise ValueError(f"mu must be > 0, got {mu}")
-    return np.vstack([x, mu * np.eye(x.shape[1])])
+    return _stack(x, mu)
+
+
+def _stack(x: np.ndarray, mu: float) -> np.ndarray:
+    """regularize, unchecked: x itself when mu = 0."""
+    return np.vstack([x, mu * np.eye(x.shape[1])]) if mu > 0 else x
 
 
 @dataclass(eq=False)
 class SolverBasis:
     """The lattice a run solves on.
 
-    x is the validated calibration data and x_solver the matrix the
-    objective is measured with (x itself, or x with mu * I stacked under
-    it).  basis is x_solver or, after reduction, x_solver @ u with u the
-    exact unimodular transform (None without reduction).  l is the
-    lower-triangular factor with positive diagonal and
-    l^T l = basis^T basis, and l_inv its inverse: all the solvers need.
-    cond is l's 1-norm condition number ||L||_1 ||L^-1||_1, read where l
-    was factored.  The coordinates Q^T t of a point t on the basis's
-    Gram-Schmidt directions are l_inv^T basis^T t, so Q is never formed.
-    l comes from the Cholesky factorization of basis^T basis, or from the
-    QL factorization of basis when that Gram matrix fails
-    linalg.gram_factor's conditioning gate (route reads "cholesky" or
-    "qr"); either route inverts it once, with
-    linalg.invert_lower_triangular's kernel."""
+    x is the validated calibration data.  l is the lower-triangular factor
+    with positive diagonal and l^T l = X^T X + mu^2 I, or B^T B for the
+    LLL-reduced basis B = x_solver @ u (u the exact unimodular transform,
+    basis_red B; both None without reduction), and l_inv its inverse: all
+    the solvers need.  cond is l's 1-norm condition number
+    ||L||_1 ||L^-1||_1, read where l was factored.  The coordinates Q^T t
+    of a point t on the basis's Gram-Schmidt directions are
+    l_inv^T basis^T t, so Q is never formed.  l comes from the Cholesky
+    factorization of that Gram matrix, or from the QL factorization of the
+    basis when the Gram matrix fails linalg.gram_factor's conditioning gate
+    (route reads "cholesky" or "qr"); either route inverts it once, with
+    linalg.invert_lower_triangular's kernel.
+
+    x_solver, the matrix the regularized objective is measured with (x
+    with mu * I stacked under it, or x itself at mu = 0), and basis
+    (x_solver, or B after reduction) are built on first use, for the
+    callers that need the basis itself: the recursive reference solvers,
+    the reduced path and the oracle.  A stacked x_solver is read-only."""
 
     x: np.ndarray
-    x_solver: np.ndarray
     mu: float
-    basis: np.ndarray
     l: np.ndarray
     l_inv: np.ndarray
     cond: float
     route: str
     u: np.ndarray | None = None
+    basis_red: np.ndarray | None = None
+
+    @cached_property
+    def x_solver(self) -> np.ndarray:
+        stacked = _stack(self.x, self.mu)
+        if stacked is not self.x:
+            stacked.setflags(write=False)
+        return stacked
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.x_solver if self.basis_red is None else self.basis_red
 
 
 def solver_basis(x, mu: float | str, reduce_delta: float | None = None) -> SolverBasis:
     """Validate x, resolve and apply the regularizer, optionally
     LLL-reduce with parameter reduce_delta, and factor the basis once.
 
-    The Gram matrix basis^T basis is X^T X + mu^2 I, or B^T B for the
-    reduced basis B.  Where gram_factor declines it, ql_decompose(basis)
-    supplies l and l_inv and raises RankDeficient or warns
-    IllConditionedWarning as the input calls for."""
+    The Gram matrix is X^T X + mu^2 I, or B^T B for the reduced basis B.
+    Where gram_factor declines it, ql_decompose(basis) supplies l and l_inv
+    and raises RankDeficient or warns IllConditionedWarning as the input
+    calls for."""
     return _factor_basis(check_matrix(x, "x"), mu, reduce_delta)
 
 
 def _factor_basis(x: np.ndarray, mu: float | str,
                   reduce_delta: float | None = None) -> SolverBasis:
     """solver_basis on an x that check_matrix has already returned, so
-    its caller's validation is the only pass over x."""
+    its caller's validation is the only pass over x.  Without reduction
+    the Cholesky route forms X^T X and adds mu^2 to its diagonal: the
+    stacked basis is built only for LLL or the QR fallback."""
     mu = resolve_mu(x, mu)
-    x_solver = np.vstack([x, mu * np.eye(x.shape[1])]) if mu > 0 else x  # regularize, unchecked
-    basis, u = x_solver, None
-    if reduce_delta is not None:
-        reduced = lll_reduce(x_solver, reduce_delta)
-        basis, u = reduced.basis_red, reduced.u
+    u = basis_red = None
     with np.errstate(over="ignore"):  # an overflowing Gram matrix fails the factorization
-        factor = gram_factor(basis.T @ basis)
+        if reduce_delta is None:
+            h = x.T @ x
+            h[np.diag_indices_from(h)] += mu * mu
+        else:
+            reduced = lll_reduce(_stack(x, mu), reduce_delta)
+            u, basis_red = reduced.u, reduced.basis_red
+            h = basis_red.T @ basis_red
+    factor = gram_factor(h)
     route = "cholesky"
     if factor is None:
-        f = ql_decompose(basis)
+        f = ql_decompose(_stack(x, mu) if basis_red is None else basis_red)
         factor, route = (f.l, f.l_inv, f.cond), "qr"
-    return SolverBasis(x, x_solver, mu, basis, *factor, route, u)
+    return SolverBasis(x, mu, *factor, route, u, basis_red)
 
 
 # The last basis _cached_basis factored: (key, private copy of x, basis).
@@ -241,7 +271,7 @@ def _cached_basis(x: np.ndarray, mu: float | str) -> SolverBasis:
         return last[2]
     x = np.copy(x)  # order "K": the same memory order as the caller's
     sb = _factor_basis(x, mu)
-    for a in (sb.x, sb.x_solver, sb.basis, sb.l, sb.l_inv):
+    for a in (sb.x, sb.l, sb.l_inv):
         a.setflags(write=False)
     _last_basis = key, x, sb
     return sb
@@ -324,13 +354,35 @@ def _recursive_rows(basis: np.ndarray, w: np.ndarray, variant: str):
 
 
 def _row_errors(sb: SolverBasis, d: np.ndarray, t: np.ndarray | None, alpha: float):
-    """alpha ||t_r - X_solver d_r|| per row, over the rows of the original
-    X and over all rows of the regularized one; t_r is zero past its end
-    (the mu * I block), and t = None is zero."""
-    r = -(np.asarray(d, dtype=float) @ sb.x_solver.T)
-    if t is not None:
-        r[:, : t.shape[1]] += t
-    return alpha * l2_norm(r[:, : sb.x.shape[0]], axis=1), alpha * l2_norm(r, axis=1)
+    """alpha ||t_r - X_solver d_r|| per row, over the k rows of the
+    original X and over all rows of the regularized one.  t_r covers X's
+    rows (a cross-layer target) or all of X_solver's (the in-span target
+    of a reduced run) and is zero past its end; t = None is zero.
+
+    The residual over X's k rows is taken ROW_BLOCK rows at a time, one
+    product per block, so the m x k residual is never held whole.  The
+    regularized error is hypot(||r_r||, ||t_r - mu d_r|| on the mu * I
+    block), which keeps l2_norm's guard against overflow.  A row's bits
+    can depend on the block it falls in (a one-row block is a
+    vector-matrix product, a larger one a matrix product), so the errors
+    of one row solved alone may differ from its errors in an m-row run in
+    the last bits; v and the coefficients do not."""
+    x = sb.x
+    k = x.shape[0]
+    d = np.asarray(d, dtype=float)
+    err = np.empty(d.shape[0])
+    err_reg = np.empty(d.shape[0])
+    for s in range(0, d.shape[0], ROW_BLOCK):
+        e = s + ROW_BLOCK
+        r = -(d[s:e] @ x.T)
+        r_mu = sb.mu * d[s:e]
+        if t is not None:
+            r += t[s:e, :k]
+            if t.shape[1] > k:
+                r_mu -= t[s:e, k:]
+        err[s:e] = l2_norm(r, axis=1)
+        err_reg[s:e] = np.hypot(err[s:e], l2_norm(r_mu, axis=1))
+    return alpha * err, alpha * err_reg
 
 
 def _pull_back(sb: SolverBasis, t: np.ndarray, alpha: float):
@@ -340,7 +392,7 @@ def _pull_back(sb: SolverBasis, t: np.ndarray, alpha: float):
     its own products, so its bits do not depend on the other rows, on t_r
     divided by a power of two, so B^T t of large data does not overflow.
     Raises ValueError where p or w pass the float range."""
-    b_t = sb.basis[: t.shape[1]].T
+    b_t = (sb.x if sb.basis_red is None else sb.basis_red)[: t.shape[1]].T
     p = np.empty((t.shape[0], sb.l.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         for r, row in enumerate(t):

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -110,7 +111,7 @@ def outcome(parse, text, header):
 
 
 def parse_per_field(text, expect_header=False):
-    with mock.patch.object(matio, "_parse_bulk", lambda lines: None):
+    with mock.patch.object(matio, "_parse_bulk", lambda lines, nrows: None):
         return parse_matrix_csv(text, expect_header=expect_header)
 
 
@@ -144,6 +145,82 @@ class TestBulkParse:
         with mock.patch.object(matio, "_parse_fields", side_effect=AssertionError):
             m = parse_matrix_csv(text)
         assert m.shape == (3, 4)
+
+
+def load_text(path):
+    """load_matrix_csv as a parser of text: writes the text to path first."""
+    def load(text, expect_header=False):
+        path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+        return load_matrix_csv(path, expect_header=expect_header)
+    return load
+
+
+@st.composite
+def csv_bytes(draw):
+    """csv_texts as UTF-8 bytes, now and then with a byte that is not
+    UTF-8 or a cut multi-byte sequence spliced in."""
+    text, header = draw(csv_texts())
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xd9", b"\xe2\x82"])) + data[at:]
+    return data, header
+
+
+class TestStreamedLoad:
+    """load_matrix_csv reads the file CHUNK_BYTES at a time; it must agree
+    with parse_matrix_csv on the whole bytes, values and errors alike."""
+
+    @given(csv_bytes(), st.sampled_from([1, 2, 3, 5, 8, 64, 1 << 20]))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_parse_of_the_whole_bytes(self, tmp_path_factory, case, chunk):
+        data, header = case
+        load = load_text(tmp_path_factory.getbasetemp() / "stream.csv")
+        with mock.patch.object(matio, "CHUNK_BYTES", chunk):
+            assert outcome(load, data, header) == outcome(parse_matrix_csv, data, header)
+
+    @pytest.mark.parametrize("data, header, want", [
+        (b"1,2\r\n3,4\r\n", False, [[1, 2], [3, 4]]),             # CR | LF at 4 bytes
+        ("1_0,\u0661\n2,3\n".encode(), False, [[10, 1], [2, 3]]),  # 0xD9 | 0xA1 at 5 bytes
+        (b"1,2\n3,4\n5,\xff\n", False, ("ParseError", 3)),        # invalid UTF-8 past chunk 2
+        (b"a,b\n1,2\n3,4\n", True, [[1, 2], [3, 4]]),              # a header line
+        (b"1,2\n\n3,4\n", False, ("RaggedRows", 2)),               # a blank middle line
+        (b"1,2\n3,4", False, [[1, 2], [3, 4]]),                    # no trailing newline
+        (b"", False, ("ParseError", 1)),                          # an empty file
+    ])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 7])
+    def test_chunk_boundaries(self, tmp_path, monkeypatch, data, header, want, chunk):
+        monkeypatch.setattr(matio, "CHUNK_BYTES", chunk)
+        got = outcome(load_text(tmp_path / "m.csv"), data, header)
+        assert got == outcome(parse_matrix_csv, data, header)
+        if isinstance(want, tuple):
+            assert got[:2] == want
+        else:
+            assert got == outcome(parse_matrix_csv, serialize_matrix_csv(np.array(want, float)), False)
+
+    def test_valid_file_is_not_read_whole(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, np.arange(12.0).reshape(3, 4) / 7)
+        monkeypatch.setattr(matio, "CHUNK_BYTES", 16)
+        monkeypatch.setattr(matio, "parse_matrix_csv", mock.Mock(side_effect=AssertionError))
+        assert load_matrix_csv(path).shape == (3, 4)
+
+    def test_peak_memory_is_the_array_and_a_few_chunks(self, tmp_path, monkeypatch):
+        # The bound: the output array plus 8 chunks.  Reading the whole
+        # file would hold its bytes, its text and its lines at once, about
+        # 3 x 515 kB here, over 60 chunks of 16 KiB.
+        chunk = 1 << 14
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, np.random.default_rng(7).standard_normal((400, 64)) / 7)
+        assert path.stat().st_size > 30 * chunk
+        monkeypatch.setattr(matio, "CHUNK_BYTES", chunk)
+        tracemalloc.start()
+        try:
+            m = load_matrix_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.nbytes + 8 * chunk
 
 
 class TestSerialize:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +33,11 @@ from latquant.linalg import (
 )
 from latquant.quantize import (
     ALGORITHMS,
+    ROW_BLOCK,
     QuantConfig,
     _cached_basis,
     _gptq_rows,
+    _row_errors,
     clear_basis_memo,
     cross_layer_target,
     gptq_quantize,
@@ -375,6 +378,86 @@ class TestQuantizeMatrix:
         weights = rng.uniform(-2.0, 2.0, (8, 80))
         assert_batch_is_stacked_single_rows(rng, x, weights, algorithm, off_span,
                                             reduce_delta=0.99)
+
+    @pytest.mark.parametrize("algorithm", ["gptq", "babai"])
+    @pytest.mark.parametrize("clamp", [None, (-2, 2)])
+    def test_rows_agree_with_scaled_quantize(self, algorithm, clamp):
+        # 150 rows take row-error blocks of 64, 64 and 22 rows, and one row
+        # alone takes a vector-matrix product: v agrees exactly, the
+        # errors within 1e-12 relative (their bits may depend on the block)
+        rng = np.random.default_rng(67)
+        x = rng.standard_normal((200, 24))
+        weights = rng.uniform(-3.0, 3.0, (2 * ROW_BLOCK + 22, 24))
+        cfg = QuantConfig(mu="auto", alpha=0.3, clamp=clamp, algorithm=algorithm)
+        v, rep = quantize_matrix(weights, x, cfg)
+        for r, w in enumerate(weights):
+            one = scaled_quantize(x, w, cfg)
+            np.testing.assert_array_equal(one.v, v[r])
+            assert one.error_l2 == pytest.approx(rep.row_errors[r], rel=1e-12, abs=0)
+            assert one.error_regularized == pytest.approx(rep.row_errors_regularized[r],
+                                                          rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("target", [None, "data rows", "all rows"])
+    def test_row_errors_match_the_stacked_residual(self, target):
+        # the blocked errors against alpha ||t - X_solver d|| on the whole
+        # stacked residual; t covers the data rows (a cross-layer target)
+        # or all rows (the in-span target of a reduced run)
+        rng = np.random.default_rng(71)
+        x = rng.standard_normal((90, 12))
+        sb = solver_basis(x, 0.7)
+        d = rng.uniform(-2.0, 2.0, (2 * ROW_BLOCK + 2, 12))
+        t = {None: None, "data rows": rng.standard_normal((d.shape[0], 90)),
+             "all rows": rng.standard_normal((d.shape[0], 102))}[target]
+        r = -(d @ regularize(x, 0.7).T)
+        if t is not None:
+            r[:, : t.shape[1]] += t
+        err, err_reg = _row_errors(sb, d, t, 0.3)
+        np.testing.assert_allclose(err, 0.3 * np.linalg.norm(r[:, :90], axis=1), rtol=1e-12)
+        np.testing.assert_allclose(err_reg, 0.3 * np.linalg.norm(r, axis=1), rtol=1e-12)
+
+    @pytest.mark.parametrize("scale, weights, clamp, mu, want, want_reg", [
+        # the README's X times 1e150: nothing overflows
+        (1e150, [[0.4, 0.7], [-1.3, 2.2]], None, 0.0,
+         [3.605551275463991e+149, 1.4142135623731026e+149],
+         [3.605551275463991e+149, 1.4142135623731026e+149]),
+        (1e150, [[0.4, 0.7], [-1.3, 2.2]], None, "auto",
+         [3.605551275463991e+149, 1.4142135623731026e+149],
+         [4.227883631321942e+149, 2.129553943904691e+149]),
+        # times 1e153 with a clamp that leaves a residual of ~1e155, whose
+        # squares overflow on the Cholesky route
+        (1e153, [[40.4, 0.7], [-1.3, 2.2]], (-1, 1), 0.0,
+         [1.2298101479496744e+155, 5.515432893255071e+153],
+         [1.2298101479496744e+155, 5.515432893255071e+153]),
+        (1e153, [[40.4, 0.7], [-1.3, 2.2]], (-1, 1), "auto",
+         [1.2298101479496744e+155, 5.515432893255071e+153],
+         [1.2420570739704355e+155, 5.542413734105386e+153]),
+    ])
+    def test_large_finite_data_keeps_its_errors(self, scale, weights, clamp, mu, want,
+                                                want_reg):
+        # want and want_reg: the errors the stacked residual gave
+        x = scale * np.array([[3.0, 5.0], [1.0, 2.0]])
+        v, rep = quantize_matrix(np.array(weights), x, QuantConfig(mu=mu, clamp=clamp))
+        assert rep.route == "cholesky"
+        np.testing.assert_allclose(rep.row_errors, want, rtol=1e-12)
+        np.testing.assert_allclose(rep.row_errors_regularized, want_reg, rtol=1e-12)
+
+    def test_cholesky_route_allocates_no_stacked_basis(self):
+        # The bound: halfway between X.nbytes (4 MiB), the size of the
+        # largest temporary, resolve_mu's X * X, and the (k + n) x n stacked
+        # basis (4.5 MiB), which the Cholesky route must not form.  m = 64
+        # rows keep the row errors' 64 x k block at 1 MiB.
+        rng = np.random.default_rng(73)
+        k, n = 2048, 256
+        x = rng.standard_normal((k, n))
+        weights = rng.standard_normal((ROW_BLOCK, n)) / 16
+        tracemalloc.start()
+        try:
+            _, rep = quantize_matrix(weights, x, QuantConfig(mu="auto", alpha=1 / 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.route == "cholesky"
+        assert peak < x.nbytes * (k + n / 2) / k
 
     def test_overflow_is_an_error_not_a_wrapped_value(self):
         x = np.array([[3.0, 5.0], [1.0, 2.0]])

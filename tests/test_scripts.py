@@ -98,3 +98,33 @@ def test_chain_job_runs(tmp_path, monkeypatch):
     problems, err_rel = checks.check_chain(x0, weights, alpha, vs, errors)
     assert problems == []
     assert 0 < err_rel < 1
+
+
+def test_stage_memory_runs(tmp_path):
+    rng = np.random.default_rng(5)
+    for name, shape in (("W.csv", (6, 4)), ("X.csv", (20, 4))):
+        np.savetxt(tmp_path / name, rng.standard_normal(shape), delimiter=",")
+    proc = run_script("stage_memory.py", "--weights", str(tmp_path / "W.csv"),
+                      "--calib", str(tmp_path / "X.csv"), "--alpha", "0.25",
+                      "--out", str(tmp_path / "V.csv"))
+    assert proc.returncode == 0, proc.stderr
+    stages = [line.split()[0] for line in proc.stdout.splitlines()[:-1]]
+    assert stages == ["start", "imports", "parse", "factor", "solve", "write"]
+    peaks = [float(re.search(r"VmHWM +([\d.]+) MB", line)[1])
+             for line in proc.stdout.splitlines()[:-1]]
+    assert peaks == sorted(peaks) and peaks[0] > 0
+    assert np.loadtxt(tmp_path / "V.csv", delimiter=",").shape == (6, 4)
+
+
+def test_stage_memory_falls_back_without_proc(monkeypatch):
+    spec = importlib.util.spec_from_file_location("stage_memory",
+                                                  ROOT / "scripts" / "stage_memory.py")
+    stage_memory = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stage_memory)
+
+    def no_proc(*args, **kwargs):
+        raise FileNotFoundError("/proc/self/status")
+
+    monkeypatch.setattr(stage_memory, "open", no_proc, raising=False)
+    peak, rss = stage_memory.memory_mb()
+    assert peak > 0 and rss is None
