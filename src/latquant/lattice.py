@@ -67,9 +67,13 @@ def round_half_even(x: float) -> int:
 
 def fragile_indices(coeffs: np.ndarray, tie_tol: float = DEFAULT_TIE_TOL) -> list[int]:
     """Indices whose pre-rounding coefficient sits within tie_tol of a
-    half-integer, where last-ulp float differences can flip the result."""
-    frac = coeffs - np.floor(coeffs)
-    return [int(i) for i in np.flatnonzero(np.abs(frac - 0.5) < tie_tol)]
+    half-integer, where last-ulp float differences can flip the result.
+    |coeffs - floor(coeffs) - 0.5| is formed in one temporary."""
+    frac = np.floor(coeffs)
+    np.subtract(coeffs, frac, out=frac)
+    frac -= 0.5
+    np.abs(frac, out=frac)
+    return [int(i) for i in np.flatnonzero(frac < tie_tol)]
 
 
 class LatticeBasis:
@@ -157,6 +161,7 @@ def nearest_plane_rows(l: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.nda
             coeffs[i + 1 : e] -= l_cols[i, i + 1 : e, None] * np.rint(coeffs[i])
         if e < n:
             coeffs[e:] -= block_update(np.rint(coeffs[s:e]), l_cols[s:e, e:])
+    del l_cols  # released before the rounding
     coeffs = np.ascontiguousarray(coeffs.T)
     return rows_to_int64(np.rint(coeffs)), coeffs
 

@@ -197,7 +197,7 @@ def _ql_factors(x, rank_tol: float = RANK_TOL) -> QLFactors:
     signs[signs == 0.0] = 1.0
     q *= signs
     l *= signs[:, None]
-    l = np.tril(l)  # the strict upper part is zero; drop -0.0 from sign flips
+    _zero_upper(l)  # the strict upper part is zero; drop -0.0 from sign flips
 
     d = np.diag(l)
     dmax = d.max() if n else 0.0
@@ -207,6 +207,13 @@ def _ql_factors(x, rank_tol: float = RANK_TOL) -> QLFactors:
     if bad.size:
         raise RankDeficient(int(bad[0]))
     return QLFactors(q=q, l=l)
+
+
+def _zero_upper(a: np.ndarray) -> None:
+    """Set the strict upper triangle of square a to +0.0 in place, a row
+    at a time: np.tril would copy a and build an n x n mask."""
+    for i in range(a.shape[0] - 1):
+        a[i, i + 1 :] = 0.0
 
 
 def _diagonal_block_inverses(l: np.ndarray) -> np.ndarray:
@@ -254,7 +261,8 @@ def _lower_inverse(l: np.ndarray) -> np.ndarray:
             if j:
                 x[j:e] -= l[j:e, :j] @ x[:j]
             x[j:e] = inverses[j // block, : e - j, : e - j] @ x[j:e]
-    return np.tril(x)
+    _zero_upper(x)
+    return x
 
 
 def _cond_estimate(l: np.ndarray, l_inv: np.ndarray) -> float:
@@ -277,12 +285,15 @@ def gram_factor(h) -> tuple[np.ndarray, np.ndarray, float] | None:
     bit for bit.  Returns None when the factorization fails or L's
     condition number exceeds GRAM_COND_MAX: there the squared
     conditioning of h costs too many digits, and the caller should factor
-    X itself."""
+    X itself.  h and the Cholesky output are let go once L is formed, so
+    h is freed there when the caller passed its only reference."""
     try:
         c = np.linalg.cholesky(np.asarray(h, dtype=float)[::-1, ::-1])
     except np.linalg.LinAlgError:
         return None
+    del h
     l = np.ascontiguousarray(c.T[::-1, ::-1])
+    del c
     l_inv = _lower_inverse(l)
     cond = _cond_estimate(l, l_inv)
     if cond > GRAM_COND_MAX:

@@ -72,6 +72,10 @@ ALGORITHMS = ("gptq", "gptq_rec", "babai", "babai_proj_rec")
 # Rows per product in _row_errors: the residual it holds is ROW_BLOCK x k.
 ROW_BLOCK = 64
 
+# Columns per block of resolve_mu's squared sums: it holds a k x
+# COLUMN_BLOCK square, not a k x n one.
+COLUMN_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class QuantConfig:
@@ -134,10 +138,18 @@ class QuantResult:
 
 
 def resolve_mu(x: np.ndarray, mu: float | str) -> float:
-    """Turn the config's mu into a number ("auto" keys off mean diag X^T X)."""
+    """Turn the config's mu into a number ("auto" keys off mean diag X^T X).
+
+    The diagonal is summed COLUMN_BLOCK columns at a time, each block with
+    np.sum(c * c, axis=0): a column's sum is the one the whole array gives,
+    bit for bit, in any memory layout of x."""
     if mu == "auto":
+        diag = np.empty(x.shape[1])
         with np.errstate(over="ignore"):  # an overflow is refused below
-            mu = math.sqrt(0.01 * float(np.mean(np.sum(x * x, axis=0))))
+            for j in range(0, x.shape[1], COLUMN_BLOCK):
+                c = x[:, j : j + COLUMN_BLOCK]
+                diag[j : j + COLUMN_BLOCK] = np.sum(c * c, axis=0)
+            mu = math.sqrt(0.01 * float(np.mean(diag)))
     mu = float(mu)
     if not (math.isfinite(mu) and mu >= 0):
         raise ValueError(f"mu must be finite and >= 0, got {mu}")
@@ -221,23 +233,32 @@ def _factor_basis(x: np.ndarray, mu: float | str,
     """solver_basis on an x that check_matrix has already returned, so
     its caller's validation is the only pass over x.  Without reduction
     the Cholesky route forms X^T X and adds mu^2 to its diagonal: the
-    stacked basis is built only for LLL or the QR fallback."""
+    stacked basis is built only for LLL or the QR fallback.  The Gram
+    matrix goes to gram_factor as its only reference, so it is freed once
+    factored."""
     mu = resolve_mu(x, mu)
     u = basis_red = None
-    with np.errstate(over="ignore"):  # an overflowing Gram matrix fails the factorization
-        if reduce_delta is None:
-            h = x.T @ x
-            h[np.diag_indices_from(h)] += mu * mu
-        else:
-            reduced = lll_reduce(_stack(x, mu), reduce_delta)
-            u, basis_red = reduced.u, reduced.basis_red
-            h = basis_red.T @ basis_red
-    factor = gram_factor(h)
+    if reduce_delta is None:
+        factor = gram_factor(_gram(x, mu))
+    else:
+        reduced = lll_reduce(_stack(x, mu), reduce_delta)
+        u, basis_red = reduced.u, reduced.basis_red
+        factor = gram_factor(_gram(basis_red))
     route = "cholesky"
     if factor is None:
         f = ql_decompose(_stack(x, mu) if basis_red is None else basis_red)
         factor, route = (f.l, f.l_inv, f.cond), "qr"
     return SolverBasis(x, mu, *factor, route, u, basis_red)
+
+
+def _gram(b: np.ndarray, mu: float = 0.0) -> np.ndarray:
+    """b^T b + mu^2 I.  An overflow is left to gram_factor, whose
+    factorization fails on it."""
+    with np.errstate(over="ignore"):
+        h = b.T @ b
+        if mu:
+            h[np.diag_indices_from(h)] += mu * mu
+    return h
 
 
 # The last basis _cached_basis factored: (key, private copy of x, basis).
@@ -284,8 +305,9 @@ def clear_basis_memo() -> None:
 
 
 def _gptq_rows(l_inv: np.ndarray, w: np.ndarray,
-               history: list[np.ndarray] | None = None):
-    """The sequential loop for the rows of w at once: round column i,
+               history: list[np.ndarray] | None = None, alpha: float = 1.0):
+    """The sequential loop for the rows of w / alpha at once (divided in
+    the working array, so no scaled copy of w is held): round column i,
     then shift the remaining coordinates along column i of L^-1 so the
     already-fixed ones are untouched.  No later step reads column i, so
     the working array ends up holding the pre-rounding coefficients and v
@@ -302,6 +324,7 @@ def _gptq_rows(l_inv: np.ndarray, w: np.ndarray,
     the first row's w^(0) .. w^(n), whose first i entries are v_1 .. v_i;
     a run that keeps it is one block, so it holds the plain loop's bits."""
     coeffs = np.array(np.asarray(w, dtype=float).T, order="C")  # row i holds coordinate i
+    coeffs /= alpha
     n = coeffs.shape[0]
     block = n if history is not None else SWEEP_BLOCK
     l_inv_cols = np.ascontiguousarray(l_inv.T)  # row i holds column i of L^-1
@@ -318,6 +341,7 @@ def _gptq_rows(l_inv: np.ndarray, w: np.ndarray,
         if e < n:
             c = coeffs[s:e]
             coeffs[e:] += block_update((np.rint(c) - c) / l_inv_diag[s:e], l_inv_cols[s:e, e:])
+    del l_inv_cols, c  # c views the working array: both go before the rounding
     coeffs = np.ascontiguousarray(coeffs.T)
     return rows_to_int64(np.rint(coeffs)), coeffs
 
@@ -353,14 +377,18 @@ def _recursive_rows(basis: np.ndarray, w: np.ndarray, variant: str):
     return rows_to_int64(v), coeffs
 
 
-def _row_errors(sb: SolverBasis, d: np.ndarray, t: np.ndarray | None, alpha: float):
-    """alpha ||t_r - X_solver d_r|| per row, over the k rows of the
-    original X and over all rows of the regularized one.  t_r covers X's
-    rows (a cross-layer target) or all of X_solver's (the in-span target
-    of a reduced run) and is zero past its end; t = None is zero.
+def _row_errors(sb: SolverBasis, v: np.ndarray, alpha: float,
+                w: np.ndarray | None = None, t: np.ndarray | None = None):
+    """alpha ||t_r / alpha - X_solver d_r|| per row, d_r = v_r - w_r / alpha
+    (v_r where w is None), over the k rows of the original X and over all
+    rows of the regularized one.  t_r covers X's rows (a cross-layer
+    target) or all of X_solver's (the in-span target of a reduced run) and
+    is zero past its end; t = None is zero.
 
     The residual over X's k rows is taken ROW_BLOCK rows at a time, one
-    product per block, so the m x k residual is never held whole.  The
+    product per block, and d and t / alpha are formed a block at a time,
+    so none of the m x k residual, the m x n difference and the scaled
+    target is held whole; t itself is never written.  The
     regularized error is hypot(||r_r||, ||t_r - mu d_r|| on the mu * I
     block), which keeps l2_norm's guard against overflow.  A row's bits
     can depend on the block it falls in (a one-row block is a
@@ -369,17 +397,17 @@ def _row_errors(sb: SolverBasis, d: np.ndarray, t: np.ndarray | None, alpha: flo
     the last bits; v and the coefficients do not."""
     x = sb.x
     k = x.shape[0]
-    d = np.asarray(d, dtype=float)
-    err = np.empty(d.shape[0])
-    err_reg = np.empty(d.shape[0])
-    for s in range(0, d.shape[0], ROW_BLOCK):
+    err = np.empty(v.shape[0])
+    err_reg = np.empty(v.shape[0])
+    for s in range(0, v.shape[0], ROW_BLOCK):
         e = s + ROW_BLOCK
-        r = -(d[s:e] @ x.T)
-        r_mu = sb.mu * d[s:e]
+        d = np.asarray(v[s:e], dtype=float) if w is None else v[s:e] - w[s:e] / alpha
+        r = -(d @ x.T)
+        r_mu = sb.mu * d
         if t is not None:
-            r += t[s:e, :k]
+            r += t[s:e, :k] / alpha
             if t.shape[1] > k:
-                r_mu -= t[s:e, k:]
+                r_mu -= t[s:e, k:] / alpha
         err[s:e] = l2_norm(r, axis=1)
         err_reg[s:e] = np.hypot(err[s:e], l2_norm(r_mu, axis=1))
     return alpha * err, alpha * err_reg
@@ -398,7 +426,7 @@ def _pull_back(sb: SolverBasis, t: np.ndarray, alpha: float):
         for r, row in enumerate(t):
             scale = power_of_two_scale(row)
             p[r] = sb.l_inv.T @ (b_t @ (row / scale)) * scale / alpha
-        w = np.array([sb.l_inv @ row for row in p])
+        w = _row_products(sb.l_inv, p)
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(w))):
         raise ValueError(f"the target's coordinates t / alpha overflow at alpha = {alpha!r}; "
                          "use a larger alpha")
@@ -416,7 +444,7 @@ def gptq_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
     w = check_vector(w, sb.x.shape[1], "w")[None, :]
     history: list[np.ndarray] = []
     v, coeffs = _gptq_rows(sb.l_inv, w, history)
-    err, err_reg = _row_errors(sb, v - w, None, 1.0)
+    err, err_reg = _row_errors(sb, v, 1.0, w)
     return QuantResult(
         v=v[0],
         values=v[0].astype(float),
@@ -505,7 +533,7 @@ def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
     weights, x, x_target = _check_layer(weights, x, x_target)
     sb = _factor_basis(x, cfg.mu, reduce_delta)
     factored = time.perf_counter()
-    t = None if x_target is None else _targets(x_target, weights)
+    t = None if x_target is None else _row_products(x_target, weights)
     v, report = _solve_rows(sb, weights, cfg, t)[:2]
     report.timings_ms = {"factor": (factored - start) * 1e3,
                          "solve": (time.perf_counter() - factored) * 1e3}
@@ -527,43 +555,55 @@ def _check_layer(weights, x, x_target=None):
     return weights, x, x_target
 
 
-def _targets(source: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The target rows source @ w; one product per row keeps each row's
-    bits independent of m."""
-    return np.array([source @ w for w in weights])
+def _row_products(a: np.ndarray, rows: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """The rows a @ r, or a @ (r / scale), for the rows r of rows, written
+    into one array as they are formed.  One product per row keeps each
+    row's bits independent of m."""
+    out = np.empty((rows.shape[0], a.shape[0]))
+    for i, r in enumerate(rows):
+        out[i] = a @ (r if scale is None else r / scale)
+    return out
 
 
 def _solve_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig,
                 t: np.ndarray | None = None):
     """quantize_matrix on the factored basis sb, aiming the rows at the
     target rows t (None: in the span, X_solver w).  Also returns v before
-    the clamp and the rows' coefficients on the basis the solver ran on.
-    Raises ValueError, before any sweep, where weights / alpha overflow."""
+    the clamp and, for a target t, the rows' least-squares coefficients on
+    the basis the solver ran on (None in the span, where they are
+    weights / alpha).  Raises ValueError, before any sweep, where
+    weights / alpha overflow.
+
+    The rows solved are w_rows / scale: weights / alpha in the span, the
+    pulled-back coefficients for a target.  The kernels divide their own
+    working arrays and the errors a row block at a time, so no scaled copy
+    of the weights is held."""
+    # division is monotone, so weights / alpha overflows at the largest |w| if anywhere
     with np.errstate(over="ignore"):  # an overflow is refused below
-        w_scaled = weights / cfg.alpha
-    if not np.all(np.isfinite(w_scaled)):
+        w_peak = max(-weights.min(), weights.max()) / cfg.alpha
+    if not np.isfinite(w_peak):
         raise ValueError(f"weights / alpha overflow at alpha = {cfg.alpha!r}; "
                          "use a larger alpha")
-    w_basis, p = w_scaled, None
+    w_rows, scale, p, w_pulled = weights, cfg.alpha, None, None
     if t is None and sb.u is not None:
-        t = _targets(sb.x_solver, weights)
+        t = _row_products(sb.x_solver, weights)
     if t is not None:
-        p, w_basis = _pull_back(sb, t, cfg.alpha)
+        p, w_pulled = _pull_back(sb, t, cfg.alpha)
+        w_rows, scale = w_pulled, 1.0
     if cfg.algorithm == "gptq":
-        v, coeffs = _gptq_rows(sb.l_inv, w_basis)
+        v, coeffs = _gptq_rows(sb.l_inv, w_rows, alpha=scale)
     elif cfg.algorithm == "babai":
         if p is None:
-            p = np.array([sb.l @ w for w in w_basis])
+            p = _row_products(sb.l, w_rows, scale)
         v, coeffs = nearest_plane_rows(sb.l, p)
     else:
-        v, coeffs = _recursive_rows(sb.basis, w_basis, cfg.algorithm)
+        v, coeffs = _recursive_rows(sb.basis, w_rows / scale, cfg.algorithm)
     if sb.u is not None:
         v = map_solution(sb.u, v)
     v_out = v if cfg.clamp is None else np.clip(v, *cfg.clamp)
-    if t is None:  # in the span: t / alpha - X_solver v = X_solver (w / alpha - v)
-        row_err, row_err_reg = _row_errors(sb, v_out - w_scaled, None, cfg.alpha)
-    else:
-        row_err, row_err_reg = _row_errors(sb, v_out, t / cfg.alpha, cfg.alpha)
+    # in the span: t / alpha - X_solver v_out = X_solver (w / alpha - v_out)
+    row_err, row_err_reg = _row_errors(sb, v_out, cfg.alpha,
+                                       weights if t is None else None, t)
     n = sb.x.shape[1]
     report = MatrixQuantReport(
         row_errors=row_err,
@@ -577,7 +617,7 @@ def _solve_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig,
         route=sb.route,
         cond=sb.cond,
     )
-    return v_out, report, v, w_basis
+    return v_out, report, v, w_pulled
 
 
 def compare_algorithms(weights, x, cfg: QuantConfig = QuantConfig()

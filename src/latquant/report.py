@@ -160,10 +160,12 @@ def render_json(value) -> str:
 
 def _render_items(items) -> str:
     """The comma-joined items of a list: in one join when all are exactly
-    float or all exactly int (which excludes bool), else one by one."""
+    float, in one repr of the list without its spaces and brackets when
+    all are exactly int (which excludes bool and numpy integers, whose
+    repr names the type), else one by one."""
     kinds = set(map(type, items))
     if kinds == {float}:
         return ",".join(map(_format_real, items))
     if kinds == {int}:
-        return ",".join(map(str, items))
+        return repr(list(items)).replace(" ", "")[1:-1]
     return ",".join(render_json(v) for v in items)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dtrcon
 from test_quantize import conditioned_instance
 
+import latquant.linalg
 from latquant.linalg import (
     COND_WARN,
     GRAM_COND_MAX,
@@ -158,6 +161,43 @@ class TestGramFactor:
     def test_declines_what_cholesky_cannot_factor(self, h):
         assert gram_factor(h) is None
 
+    def test_lets_go_of_h_once_l_is_formed(self, monkeypatch):
+        # a caller that passes its only reference to h has it freed before
+        # L is inverted
+        x = np.random.default_rng(17).standard_normal((40, 12))
+        refs = []
+        lower_inverse = latquant.linalg._lower_inverse
+
+        def checking(l):
+            assert refs[0]() is None
+            return lower_inverse(l)
+
+        def gram():
+            h = x.T @ x
+            refs.append(weakref.ref(h))
+            return h
+
+        monkeypatch.setattr(latquant.linalg, "_lower_inverse", checking)
+        factor = gram_factor(gram())  # not inside assert, whose rewrite keeps gram()
+        assert factor is not None
+
+    def test_peak_memory_is_three_n_by_n_arrays(self):
+        # The bound: h and the Cholesky factor, then the factor and L, then
+        # L, L^-1 and |L| for the condition number: three n x n arrays at a
+        # time, plus a quarter of one for the 64 x 64 diagonal block
+        # inverses.  Holding h to the end, a second copy of L^-1 through
+        # np.tril or an n x n mask would pass four.
+        n = 256
+        x = np.random.default_rng(19).standard_normal((2 * n, n))
+        tracemalloc.start()
+        try:
+            factor = gram_factor(x.T @ x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factor is not None
+        assert peak < 3.25 * n * n * 8
+
 
 class TestInvertLowerTriangular:
     def test_identity(self):
@@ -188,6 +228,17 @@ class TestInvertLowerTriangular:
         np.fill_diagonal(l, rng.uniform(0.5, 2.0, 8))
         inv = invert_lower_triangular(l)
         assert np.all(np.triu(inv, 1) == 0.0)
+
+    def test_upper_triangle_is_positive_zero_past_overflow(self):
+        # entries that overflow make nan above the diagonal in the block
+        # products; the result is still +0.0 there, bit for bit, as
+        # np.tril's copy gave
+        n = 2 * SOLVE_BLOCK + 5
+        l = np.tril(np.full((n, n), -1e300))
+        np.fill_diagonal(l, 1e-300)
+        inv = _lower_inverse(l)
+        assert not np.all(np.isfinite(np.tril(inv)))
+        assert np.all(np.triu(inv, 1).view(np.uint64) == 0)
 
     def test_singular_diagonal(self):
         l = np.array([[1.0, 0.0], [1.0, 0.0]])

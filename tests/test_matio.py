@@ -236,6 +236,22 @@ class TestSerialize:
         text = serialize_matrix_csv(np.array([[2 ** 70]], dtype=object))
         assert text == f"{2 ** 70}\n"
 
+    @pytest.mark.parametrize("matrix", [
+        np.array([[np.iinfo(np.int64).min, -1, 0], [1, 7, np.iinfo(np.int64).max]]),
+        np.array([[-3, 5, -12, 0]]),  # one row
+        np.array([[-3], [5], [-12]]),  # one column
+        np.array([[-8, 8], [-1, 0]], dtype=np.int8),
+        np.array([[0, np.iinfo(np.uint64).max]], dtype=np.uint64),
+        np.zeros((0, 3), dtype=np.int64),
+        np.zeros((2, 0), dtype=np.int64),
+        np.array([[2 ** 63, -(2 ** 64) - 1], [np.int64(5), -7]], dtype=object),
+    ], ids=["int64-extremes", "one-row", "one-column", "int8", "uint64", "no-rows",
+            "no-columns", "object-past-2^63"])
+    def test_integer_rows_match_the_per_entry_formatter(self, matrix):
+        # the formatter integer matrices went through before the one repr
+        want = "".join(",".join(map(str, map(int, row))) + "\n" for row in matrix.tolist())
+        assert serialize_matrix_csv(matrix) == want
+
     @given(
         st.lists(
             st.lists(

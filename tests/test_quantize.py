@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from latquant.linalg import (
 )
 from latquant.quantize import (
     ALGORITHMS,
+    COLUMN_BLOCK,
     ROW_BLOCK,
     QuantConfig,
     _cached_basis,
@@ -126,6 +128,32 @@ class TestResolveMu:
     def test_auto_rejects_an_overflowing_gram_diagonal(self):
         with pytest.raises(ValueError, match="finite"):
             resolve_mu(np.full((2, 2), 1e200), "auto")
+
+    @pytest.mark.parametrize("shape", [(1, 3), (50, 64), (300, 65), (97, 200)])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "transposed"])
+    def test_auto_keeps_the_whole_array_bits(self, shape, layout):
+        # the column blocks against the sum over the whole square
+        rng = np.random.default_rng(shape[0] * shape[1])
+        x = rng.standard_normal(shape) * rng.uniform(0.1, 10.0, shape[1])
+        x = {"C": lambda: x, "F": lambda: np.asfortranarray(x),
+             "strided": lambda: np.repeat(x, 3, axis=1)[::1, ::3],
+             "transposed": lambda: np.ascontiguousarray(x.T).T}[layout]()
+        want = math.sqrt(0.01 * float(np.mean(np.sum(x * x, axis=0))))
+        assert resolve_mu(x, "auto").hex() == want.hex()
+
+    def test_auto_holds_one_column_block(self):
+        # The bound: two k x COLUMN_BLOCK blocks (1 MiB here), the square of
+        # one block and room for its column sums and the n sums.  The whole
+        # square X * X is k x n, four blocks.
+        k, n = 1024, 256
+        x = np.random.default_rng(23).standard_normal((k, n))
+        tracemalloc.start()
+        try:
+            resolve_mu(x, "auto")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * k * COLUMN_BLOCK * 8
 
 
 class TestGptq:
@@ -399,9 +427,9 @@ class TestQuantizeMatrix:
 
     @pytest.mark.parametrize("target", [None, "data rows", "all rows"])
     def test_row_errors_match_the_stacked_residual(self, target):
-        # the blocked errors against alpha ||t - X_solver d|| on the whole
-        # stacked residual; t covers the data rows (a cross-layer target)
-        # or all rows (the in-span target of a reduced run)
+        # the blocked errors against alpha ||t / alpha - X_solver d|| on the
+        # whole stacked residual; t covers the data rows (a cross-layer
+        # target) or all rows (the in-span target of a reduced run)
         rng = np.random.default_rng(71)
         x = rng.standard_normal((90, 12))
         sb = solver_basis(x, 0.7)
@@ -410,8 +438,8 @@ class TestQuantizeMatrix:
              "all rows": rng.standard_normal((d.shape[0], 102))}[target]
         r = -(d @ regularize(x, 0.7).T)
         if t is not None:
-            r[:, : t.shape[1]] += t
-        err, err_reg = _row_errors(sb, d, t, 0.3)
+            r[:, : t.shape[1]] += t / 0.3
+        err, err_reg = _row_errors(sb, d, 0.3, t=t)
         np.testing.assert_allclose(err, 0.3 * np.linalg.norm(r[:, :90], axis=1), rtol=1e-12)
         np.testing.assert_allclose(err_reg, 0.3 * np.linalg.norm(r, axis=1), rtol=1e-12)
 
@@ -442,10 +470,12 @@ class TestQuantizeMatrix:
         np.testing.assert_allclose(rep.row_errors_regularized, want_reg, rtol=1e-12)
 
     def test_cholesky_route_allocates_no_stacked_basis(self):
-        # The bound: halfway between X.nbytes (4 MiB), the size of the
-        # largest temporary, resolve_mu's X * X, and the (k + n) x n stacked
-        # basis (4.5 MiB), which the Cholesky route must not form.  m = 64
-        # rows keep the row errors' 64 x k block at 1 MiB.
+        # The bound: halfway between X.nbytes (4 MiB) and the (k + n) x n
+        # stacked basis (4.5 MiB), which the Cholesky route must not form.
+        # The run's own temporaries stay below X.nbytes: resolve_mu squares
+        # k x 64 blocks (1 MiB), the factor holds three n x n arrays
+        # (1.5 MiB), and m = 64 rows keep the row errors' 64 x k residual
+        # block and its square at 1 MiB each.
         rng = np.random.default_rng(73)
         k, n = 2048, 256
         x = rng.standard_normal((k, n))
@@ -458,6 +488,42 @@ class TestQuantizeMatrix:
             tracemalloc.stop()
         assert rep.route == "cholesky"
         assert peak < x.nbytes * (k + n / 2) / k
+
+    def test_peak_memory_with_many_rows(self):
+        # The bound, for m >> n: three m x n arrays (the coefficients, their
+        # rounding and V; the working array and its transposed copy before
+        # that), L and L^-1 (n x n each) and two 64 x k residual blocks.
+        # A scaled copy of the weights, a whole difference v - w / alpha or a
+        # second temporary in fragile_indices would pass it by one m x n array.
+        rng = np.random.default_rng(29)
+        k, n, m = 1024, 256, 2048
+        x = rng.standard_normal((k, n))
+        weights = rng.standard_normal((m, n)) / 16
+        tracemalloc.start()
+        try:
+            quantize_matrix(weights, x, QuantConfig(mu="auto", alpha=1 / 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * weights.nbytes + 2 * n * n * 8 + 2 * ROW_BLOCK * k * 8
+
+    def test_peak_memory_with_an_off_span_target(self):
+        # The bound: the m x k target t, two 64 x k blocks (the residual and
+        # t's block over alpha, or the residual and its square) and six
+        # m x n arrays (the pull-back's p and w, the working coefficients
+        # and their copy, the rounding and V).  A second m x k array, t's
+        # rows gathered in a list or t / alpha whole, passes it.
+        rng = np.random.default_rng(31)
+        k, n, m = 2048, 64, 512
+        x = rng.standard_normal((k, n))
+        weights = rng.standard_normal((m, n)) / 16
+        tracemalloc.start()
+        try:
+            quantize_matrix(weights, x, QuantConfig(mu="auto", alpha=1 / 16), x_target=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * k * 8 + 2 * ROW_BLOCK * k * 8 + 6 * m * n * 8
 
     def test_overflow_is_an_error_not_a_wrapped_value(self):
         x = np.array([[3.0, 5.0], [1.0, 2.0]])

@@ -174,6 +174,8 @@ class TestBulkRender:
         [], [-0.0, 1e16, 5e-324], [2 ** 64, -(2 ** 70), 0], [True, False],
         [1, True], [1, 2.0], [np.float64(0.5), 0.25], [np.int64(3), 4],
         [np.bool_(True)], (1.5, 2.5),
+        # the one repr of an int list: a tuple, one item, int64's extremes, V
+        (7,), (3, -4), [-(2 ** 63), 2 ** 63 - 1], [[1, -2], [3, 4]], [[]],
     ])
     def test_worked_cases(self, items):
         assert render_json(items) == render_one_by_one(items)

@@ -116,6 +116,20 @@ def test_stage_memory_runs(tmp_path):
     assert np.loadtxt(tmp_path / "V.csv", delimiter=",").shape == (6, 4)
 
 
+def test_stage_memory_prints_traced_peaks(tmp_path):
+    rng = np.random.default_rng(6)
+    for name, shape in (("W.csv", (6, 4)), ("X.csv", (20, 4))):
+        np.savetxt(tmp_path / name, rng.standard_normal(shape), delimiter=",")
+    proc = run_script("stage_memory.py", "--weights", str(tmp_path / "W.csv"),
+                      "--calib", str(tmp_path / "X.csv"), "--alpha", "0.25", "--traced")
+    assert proc.returncode == 0, proc.stderr
+    traced = {line.split()[0]: float(re.search(r"traced \+([\d.]+) MiB", line)[1])
+              for line in proc.stdout.splitlines() if "traced" in line}
+    assert list(traced) == ["parse", "factor", "solve", "write"]
+    # a chunk of the parse (256 KiB) is the largest buffer at this size
+    assert all(0 <= peak < 1.0 for peak in traced.values())
+
+
 def test_stage_memory_falls_back_without_proc(monkeypatch):
     spec = importlib.util.spec_from_file_location("stage_memory",
                                                   ROOT / "scripts" / "stage_memory.py")
