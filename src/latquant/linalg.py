@@ -46,6 +46,10 @@ COND_WARN = 1e12
 # at n = 512), so the gate errs towards QR.
 GRAM_COND_MAX = 1e3
 
+# Entries l2_norm squares at a time when it takes the norms of a matrix's
+# rows: 256 KiB of squares.
+NORM_BLOCK = 1 << 15
+
 # Rows per diagonal block of the triangular inverse (a power of two): each
 # block is inverted once, and the rest costs one matrix product per block.
 SOLVE_BLOCK = 64
@@ -108,8 +112,21 @@ def check_vector(v, length: int | None = None, name: str = "vector") -> np.ndarr
 def l2_norm(a, axis: int | None = None):
     """sqrt(sum(a ** 2)) along axis.  Where that sum overflows, the values
     are first divided by their largest magnitude, so a norm that float64
-    can hold stays finite; every other result keeps the plain sum's bits."""
+    can hold stays finite; every other result keeps the plain sum's bits.
+    The row norms of a C-contiguous matrix (axis 1) are taken
+    NORM_BLOCK entries' worth of rows at a time, so the squares are never
+    held whole; each row's sum does not depend on the other rows."""
     a = np.asarray(a, dtype=float)
+    if a.ndim == 2 and axis in (1, -1) and a.flags.c_contiguous and a.size > NORM_BLOCK:
+        out = np.empty(a.shape[0])
+        step = max(1, NORM_BLOCK // a.shape[1])
+        for s in range(0, a.shape[0], step):
+            out[s : s + step] = _l2_norm(a[s : s + step], 1)
+        return out
+    return _l2_norm(a, axis)
+
+
+def _l2_norm(a: np.ndarray, axis: int | None):
     with np.errstate(over="ignore"):
         plain = np.sqrt(np.sum(a ** 2, axis=axis))
     redo = ~np.isfinite(plain)
@@ -228,14 +245,21 @@ def _diagonal_block_inverses(l: np.ndarray) -> np.ndarray:
     n = l.shape[0]
     block = min(SOLVE_BLOCK, 1 << (n - 1).bit_length())
     order = -(-n // block) * block
-    padded = np.eye(order)
-    padded[:n, :n] = l
-    inv = (1.0 / np.diagonal(padded)).reshape(order, 1, 1)
+    diag = np.zeros((order // block, block, block))  # l's diagonal blocks
+    for b, j in enumerate(range(0, n, block)):
+        e = min(j + block, n)
+        diag[b, : e - j, : e - j] = l[j:e, j:e]
+    pad = np.arange(n - order + block, block)  # the last block's identity rows
+    diag[-1, pad, pad] = 1.0
+    inv = (1.0 / np.diagonal(diag, axis1=1, axis2=2)).reshape(order, 1, 1)
     s = 1
     while s < block:
-        # C of every pair: the s x s blocks (2i + 1, 2i) of the padded l
-        odd = np.arange(1, order // s, 2)
-        c = padded.reshape(order // s, s, order // s, s)[odd, :, odd - 1, :]
+        # C of every pair: the s x s blocks (2i + 1, 2i) of the padded l,
+        # each inside one diagonal block
+        pair = np.arange(order // (2 * s))
+        blk, odd = divmod(pair, block // (2 * s))
+        odd = 2 * odd + 1
+        c = diag.reshape(-1, block // s, s, block // s, s)[blk, odd, :, odd - 1, :]
         a_inv, d_inv = inv[0::2], inv[1::2]
         inv = np.zeros((order // (2 * s), 2 * s, 2 * s))
         inv[:, :s, :s] = a_inv
@@ -271,8 +295,21 @@ def _cond_estimate(l: np.ndarray, l_inv: np.ndarray) -> float:
     GRAM_COND_MAX and COND_WARN are compared with it.  inf when l is
     singular or not finite, or the product overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        cond = float(np.abs(l).sum(axis=0).max()) * float(np.abs(l_inv).sum(axis=0).max())
+        cond = _max_column_sum(l) * _max_column_sum(l_inv)
     return cond if math.isfinite(cond) else math.inf
+
+
+def _max_column_sum(a: np.ndarray) -> float:
+    """max_j sum_i |a_ij|, SOLVE_BLOCK rows of |a| at a time.  Each
+    block's first row takes the sums so far, so every sum adds its rows
+    in order, as np.abs(a).sum(axis=0) does, with the same bits."""
+    sums = np.zeros(a.shape[1])
+    for j in range(0, a.shape[0], SOLVE_BLOCK):
+        rows = np.abs(a[j : j + SOLVE_BLOCK])
+        rows[0] += sums
+        sums = rows.sum(axis=0)
+        del rows
+    return float(sums.max())
 
 
 def gram_factor(h) -> tuple[np.ndarray, np.ndarray, float] | None:

@@ -5,34 +5,49 @@ separator, no ragged rows.  Serialization writes the shortest decimal
 string that parses back to the same double, so parse(serialize(m)) == m
 bitwise for every finite matrix.
 
-Parsing fills a preallocated array one line at a time, with Python's own
-float() on every field, and checks finiteness once at the end.
-load_matrix_csv streams the file: it counts the lines in one pass, then
-reads CHUNK_BYTES at a time, decodes each chunk's complete lines and
-carries the partial last line into the next chunk, so it holds the array
-and a few chunks, never the whole text.  parse_matrix_csv runs the same
-line loop over text in memory.  The grammar is the same either way.
-Only when the loop fails (invalid UTF-8, a token float() refuses, a wrong
-field count or a non-finite value) does the per-field loop run over the
-whole text, re-read from the start for a file, and only to raise
-ParseError or RaggedRows at the first bad line and field.  Both loops
-call float() on the same tokens, so they accept the same grammar and
-produce the same bits.
+Parsing fills a preallocated array a chunk of complete lines at a time
+and checks finiteness once at the end.  load_matrix_csv streams the file:
+it counts the lines in one pass, then reads CHUNK_BYTES at a time and
+carries each chunk's partial last line into the next, so it holds the
+array and a few chunks, never the whole text.  parse_matrix_csv runs the
+same chunks over text in memory, so the grammar and the bits are the
+same either way.  A chunk of plain decimals (what repr and %.17g write)
+is converted by array operations (_convert): integer mantissas and
+exponents in one pass, then one correctly rounded extended-precision
+multiplication or division per value, with float() kept for the few
+values that rounding could miss, so every value has float()'s bits.  Any
+other chunk (spaces, underscores, CR, non-ASCII digits, inf) goes through
+float() field by field.  Only when that fails (invalid UTF-8, a token
+float() refuses, a wrong field count or a non-finite value) does the
+per-field loop run over the whole text, re-read from the start for a
+file, and only to raise ParseError or RaggedRows at the first bad line
+and field.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import sys
 from collections.abc import Iterator
-from itertools import islice
 from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
 # Bytes load_matrix_csv reads at a time: 256 KiB parses as fast as 1 MiB
-# and holds a quarter of the text and lines at once.
+# and holds a quarter of the text and of _convert's working arrays.
 CHUNK_BYTES = 1 << 18
+
+# The fast path's tables.  10**27 = 5**27 * 2**27 with 5**27 < 2**63, so
+# every power in _POW10 is exact in a 64-bit significand.  _EXTENDED: the
+# platform's long double is x87 extended precision, a 64-bit significand
+# in the low 8 bytes, least significant first.
+_TO_COMMAS = bytes.maketrans(b"\neE", b",,,")
+_MAX_E10 = 27
+_POW10 = np.cumprod([1] + [10] * _MAX_E10, dtype=np.longdouble)
+_EXTENDED = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class ParseError(ValueError):
@@ -55,6 +70,12 @@ def parse_matrix_csv(text: bytes | str, expect_header: bool = False) -> np.ndarr
     Line and field positions in errors are 1-based, counting the header
     line when present.  Non-finite values are rejected.
     """
+    data = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
+    start = 1 if expect_header else 0
+    nrows = _count_lines(io.BytesIO(data)) - start
+    out = _parse_bulk(_chunks(io.BytesIO(data), expect_header), nrows)
+    if out is not None:
+        return out
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -65,34 +86,141 @@ def parse_matrix_csv(text: bytes | str, expect_header: bool = False) -> np.ndarr
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    start = 1 if expect_header else 0
     if len(lines) <= start:
         raise ParseError(1, 1, "", "empty input")
-
-    body = lines[start:]
-    out = _parse_bulk(iter(body), len(body))
-    return out if out is not None else _parse_fields(body, start + 1)
+    return _parse_fields(lines[start:], start + 1)
 
 
-def _parse_bulk(lines: Iterator[str], nrows: int) -> np.ndarray | None:
-    """The line loop: nrows lines into one preallocated array, or None
-    when a line needs the per-field parser or there are not nrows lines."""
-    out, ncols, count = None, 0, 0
-    for line in lines:
-        fields = line.rstrip("\r").split(",")
-        if out is None:
-            ncols = len(fields)
-            out = np.empty((nrows, ncols))
-        if len(fields) != ncols or count == nrows:
-            return None
-        try:
-            out[count] = np.fromiter(map(float, fields), float, count=ncols)
-        except ValueError:
-            return None
-        count += 1
+def _parse_bulk(chunks: Iterator[bytes], nrows: int) -> np.ndarray | None:
+    """nrows lines, a chunk of complete lines at a time, into one
+    preallocated array: each chunk through _convert, or through the float()
+    line loop where _convert declines it.  None when a line needs the
+    per-field parser or there are not nrows lines."""
+    out, count = None, 0
+    try:
+        for chunk in chunks:
+            if not chunk.endswith(b"\n"):
+                chunk += b"\n"  # the last line of a text without a final newline
+            if out is None:
+                out = np.empty((nrows, chunk.count(b",", 0, chunk.index(b"\n")) + 1))
+            rows = chunk.count(b"\n")
+            if count + rows > nrows:
+                return None
+            dest = out[count : count + rows]
+            if not (_convert(chunk, dest) or _convert_lines(chunk, dest)):
+                return None
+            count += rows
+    except UnicodeDecodeError:
+        return None
     if out is None or count != nrows or not np.isfinite(out).all():
         return None
     return out
+
+
+def _convert_lines(chunk: bytes, dest: np.ndarray) -> bool:
+    """The line loop: float() on every field of chunk's lines into dest's
+    rows; False at a wrong field count or a token float() refuses.
+    Raises UnicodeDecodeError on invalid UTF-8."""
+    ncols = dest.shape[1]
+    for row, line in zip(dest, chunk.decode("utf-8").split("\n")):
+        fields = line.rstrip("\r").split(",")
+        if len(fields) != ncols:
+            return False
+        try:
+            row[:] = np.fromiter(map(float, fields), float, count=ncols)
+        except ValueError:
+            return False
+    return True
+
+
+def _convert(chunk: bytes, dest: np.ndarray) -> bool:
+    """Fill dest from chunk's lines by array operations, or return False
+    where the chunk falls outside the fast path's grammar.
+
+    The chunk must hold only the bytes 0-9 . - + e E , and newline, with
+    dest.shape[1] fields on each of its dest.shape[0] lines (the last one
+    too ends in a newline), and every token must read
+    -?D*(.D*)?([eE][+-]?D+)? with at least one mantissa digit.  A token
+    then is an integer mantissa M and a decimal exponent e10, its value
+    |M| * 10**e10.  Where |e10| <= _MAX_E10 and M < 2**63, both operands of
+    that one multiplication or division are exact in the 64-bit
+    significand of x87 extended precision (Clinger, 1990), so its result
+    is correctly rounded, and rounding that on to float64 gives float()'s
+    value unless it lies exactly halfway between two doubles (its low 11
+    significand bits read 0x400).  Such midpoints, and every token out of
+    that range, go to float().  The range keeps every result clear of
+    float64's subnormals.
+    """
+    if not _EXTENDED:
+        return False
+    nrows, ncols = dest.shape
+    b = np.frombuffer(chunk, np.uint8)
+    at = np.flatnonzero(np.subtract(b, 48, dtype=np.uint8) > 9)  # every non-digit
+    kind = b[at]
+    sep = (kind == 44) | (kind == 10)
+    ends = np.compress(sep, at)
+    sign = np.flatnonzero((kind == 43) | (kind == 45))
+    e = np.flatnonzero((kind == 101) | (kind == 69))
+    dot = np.flatnonzero(kind == 46)
+    if (ends.size + sign.size + e.size + dot.size != at.size  # another byte
+            or ends.size != dest.size
+            or not (np.compress(sep, kind).reshape(nrows, ncols)[:, -1] == 10).all()):
+        return False
+    # A sign is a mantissa's '-' at a token start, or right after an 'e'.
+    before = b[at[sign] - 1]  # b[-1] is the chunk's last newline
+    lead = (before == 10) | (before == 44)
+    if not ((before == 101) | (before == 69) | lead & (kind[sign] == 45)).all():
+        return False
+    # An 'e', its sign if any, then at least one digit and the separator.
+    after = kind[e + 1]
+    last = e + 1 + ((after == 43) | (after == 45))
+    if not (sep[last].all() and (at[last] - at[last - 1] > 1).all()):
+        return False
+    tok = np.cumsum(sep)  # the token of each byte in at but a separator
+    neg, etok, dtok = tok[sign[lead]], tok[e], tok[dot]
+    epos, dpos = at[e], at[dot]
+    del at, kind, sep, sign, dot, tok  # before the mantissas' arrays are made
+    if (dtok[1:] <= dtok[:-1]).any():
+        return False
+    digits = ends.copy()  # where each mantissa ends, then its length
+    digits[etok] = epos
+    np.subtract(dpos, digits[dtok], out=dpos)
+    dpos += 1
+    e10 = np.zeros(dest.size, np.int64)  # minus the fraction digits, then e10
+    e10[dtok] = dpos
+    del dpos
+    digits[1:] -= ends[:-1]
+    digits[1:] -= 1
+    digits[neg] -= 1
+    digits[dtok] -= 1
+    if (digits < 1).any():
+        return False
+    del digits, dtok
+
+    mant = np.fromstring(chunk.translate(_TO_COMMAS, b"."), np.int64, sep=",")
+    if mant.size != dest.size + e.size:
+        return False
+    if e.size:
+        exp = np.zeros(mant.size, bool)
+        exp[etok + np.arange(1, e.size + 1)] = True
+        e10[etok] += mant[exp]
+        mant = mant[~exp]
+    np.abs(mant, out=mant)  # a saturated -2**63 stays negative
+    slow = (mant < 0) | (mant == _INT64_MAX) | (e10 < -_MAX_E10) | (e10 > _MAX_E10)
+    np.clip(e10, -_MAX_E10, _MAX_E10, out=e10)
+    r = mant.astype(np.longdouble)
+    del mant
+    r /= _POW10[np.maximum(-e10, 0)]
+    up = np.flatnonzero(e10 > 0)
+    r[up] *= _POW10[e10[up]]
+    slow |= r.view(np.uint16)[:: r.itemsize // 2] & 0x7FF == 0x400
+    flat = dest.reshape(-1)
+    flat[:] = r
+    del r
+    flat[neg] = -flat[neg]
+    for i in np.flatnonzero(slow):
+        flat[i] = float(chunk[ends[i - 1] + 1 if i else 0 : ends[i]])
+    return True
 
 
 def _parse_fields(lines: list[str], first_lineno: int) -> np.ndarray:
@@ -142,17 +270,13 @@ def serialize_matrix_csv(matrix: np.ndarray) -> str:
 
 def load_matrix_csv(path, expect_header: bool = False) -> np.ndarray:
     """parse_matrix_csv of the file's bytes, streamed CHUNK_BYTES at a
-    time; where the line loop fails, the file is parsed again whole for
+    time; where the bulk parse fails, the file is parsed again whole for
     the exact error."""
     path = Path(path)
-    start = 1 if expect_header else 0
     with path.open("rb") as f:
-        nrows = _count_lines(f) - start
+        nrows = _count_lines(f) - (1 if expect_header else 0)
         f.seek(0)
-        try:
-            out = _parse_bulk(islice(_file_lines(f), start, None), nrows)
-        except UnicodeDecodeError:
-            out = None
+        out = _parse_bulk(_chunks(f, expect_header), nrows)
     return out if out is not None else parse_matrix_csv(path.read_bytes(), expect_header)
 
 
@@ -166,22 +290,29 @@ def _count_lines(f: BinaryIO) -> int:
     return count + (last != b"\n")
 
 
-def _file_lines(f: BinaryIO) -> Iterator[str]:
-    """The lines of f decoded as UTF-8, read CHUNK_BYTES at a time.  A
-    chunk's complete lines are decoded together and its partial last line
-    goes ahead of the next chunk; a newline byte never falls inside a
-    UTF-8 sequence, so the lines are those of the decoded whole.  Raises
-    UnicodeDecodeError on invalid UTF-8."""
+def _chunks(f: BinaryIO, header: bool) -> Iterator[bytes]:
+    """The lines of f past its header line, if any, read CHUNK_BYTES at a
+    time.  A chunk's complete lines go together and its partial last line
+    goes ahead of the next chunk; only the file's last line may lack its
+    newline.  A header that is not UTF-8 raises UnicodeDecodeError, as it
+    would in the whole text."""
     carry = b""
-    while chunk := f.read(CHUNK_BYTES):
-        buf = carry + chunk
+    while piece := f.read(CHUNK_BYTES):
+        buf = carry + piece
+        del piece
         cut = buf.rfind(b"\n") + 1
-        carry = buf[cut:]
-        lines = buf[:cut].decode("utf-8").split("\n")
-        lines.pop()  # the empty string after the last newline
-        yield from lines
-    if carry:
-        yield carry.decode("utf-8")
+        if header and cut:
+            skip = buf.find(b"\n") + 1
+            buf[:skip].decode("utf-8")
+            buf, cut, header = buf[skip:], cut - skip, False
+        chunk, carry = buf[:cut], buf[cut:]
+        del buf
+        if chunk:
+            yield chunk
+    if header:
+        carry.decode("utf-8")
+    elif carry:
+        yield carry
 
 
 def save_matrix_csv(path, matrix: np.ndarray) -> None:

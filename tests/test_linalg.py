@@ -181,12 +181,13 @@ class TestGramFactor:
         factor = gram_factor(gram())  # not inside assert, whose rewrite keeps gram()
         assert factor is not None
 
-    def test_peak_memory_is_three_n_by_n_arrays(self):
+    def test_peak_memory_is_two_n_by_n_arrays_and_two_blocks(self):
         # The bound: h and the Cholesky factor, then the factor and L, then
-        # L, L^-1 and |L| for the condition number: three n x n arrays at a
-        # time, plus a quarter of one for the 64 x 64 diagonal block
-        # inverses.  Holding h to the end, a second copy of L^-1 through
-        # np.tril or an n x n mask would pass four.
+        # L and L^-1: two n x n arrays at a time, plus two 64-row blocks
+        # (a quarter of an n x n array each at n = 256): the diagonal block
+        # inverses and one block of the inverse's products, 2.51 arrays
+        # here.  Copying l whole for its diagonal blocks, or |L| for the
+        # condition number, would pass three.
         n = 256
         x = np.random.default_rng(19).standard_normal((2 * n, n))
         tracemalloc.start()
@@ -196,7 +197,13 @@ class TestGramFactor:
         finally:
             tracemalloc.stop()
         assert factor is not None
-        assert peak < 3.25 * n * n * 8
+        assert peak < 2.55 * n * n * 8
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_column_sums_keep_the_whole_array_bits(self, n):
+        a = np.tril(np.random.default_rng(n).standard_normal((n, n)) * 1e3)
+        got = latquant.linalg._max_column_sum(a)
+        assert got == float(np.abs(a).sum(axis=0).max())
 
 
 class TestInvertLowerTriangular:
@@ -355,6 +362,27 @@ class TestL2Norm:
 
     def test_a_norm_beyond_float64_is_inf(self):
         assert l2_norm(np.array([1.5e308, 1.5e308])) == np.inf
+
+    @pytest.mark.parametrize("shape", [(64, 2048), (3, 40000), (1000, 33), (70000, 1)])
+    def test_row_blocks_keep_the_whole_array_bits(self, shape):
+        a = np.random.default_rng(11).standard_normal(shape) * 1e150
+        a[::7] *= 1e10  # rows whose squares overflow, rescaled
+        assert a.size > latquant.linalg.NORM_BLOCK
+        want = latquant.linalg._l2_norm(a, 1)
+        assert want[0] > 1e155 and np.isfinite(want).all()  # row 0's squares overflow
+        assert l2_norm(a, axis=1).tobytes() == want.tobytes()
+        assert l2_norm(a, axis=-1).tobytes() == want.tobytes()
+
+    def test_row_norms_square_one_block_at_a_time(self):
+        # The bound: a quarter of the matrix; squaring it whole holds all of it.
+        a = np.random.default_rng(12).standard_normal((64, 2048))
+        tracemalloc.start()
+        try:
+            l2_norm(a, axis=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 4 + 4096
 
 
 def lower_factor(x):

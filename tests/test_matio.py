@@ -1,4 +1,5 @@
 import tracemalloc
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -221,6 +222,131 @@ class TestStreamedLoad:
         finally:
             tracemalloc.stop()
         assert peak < m.nbytes + 8 * chunk
+
+
+needs_extended = pytest.mark.skipif(
+    not matio._EXTENDED, reason="long double is not x87 extended precision here")
+
+
+def convert(text):
+    """_convert on text, whose lines each end in a newline and hold as many
+    fields as the first: the values, or None where it declines."""
+    dest = np.full((text.count("\n"), text.split("\n", 1)[0].count(",") + 1), np.nan)
+    return dest if matio._convert(text.encode("utf-8"), dest) else None
+
+
+def per_token(text):
+    """float() on every field of text's lines."""
+    return np.array([[float(t) for t in line.split(",")] for line in text.split("\n")[:-1]])
+
+
+def bits(m):
+    return m.view(np.uint64).tolist()
+
+
+def midpoint(m54, shift):
+    """The decimal string of the odd 54-bit m54 * 2**shift, a value halfway
+    between two doubles."""
+    assert m54 % 2 and 2 ** 53 <= m54 < 2 ** 54
+    return format(Decimal(m54) * Decimal(2) ** shift, "f")
+
+
+_MID = midpoint(12345678901234567, -3)  # 1543209862654320.875, 19 digits
+
+
+def nudge(token, step):
+    """token with step added to its 19th digit, the last one here."""
+    digits = int(token.replace(".", "")) + step
+    return f"{str(digits)[:-3]}.{str(digits)[-3:]}"
+
+
+# Tokens that only the gate's alphabet builds: well formed or not.
+_GATE_TOKENS = st.one_of(
+    st.text("0123456789.-+eE", max_size=8),
+    st.from_regex(r"-?[0-9]{0,21}(\.[0-9]{0,21})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map("%.17g".__mod__),
+)
+
+
+@st.composite
+def gate_texts(draw):
+    """Lines of gate tokens, now and then ragged, or raw bytes of the
+    gate's alphabet, always ending in a newline."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text("0123456789.-+eE,\n", max_size=40)) + "\n"
+    ncols = draw(st.integers(1, 4))
+    width = st.sampled_from([ncols] * 8 + [ncols - 1, ncols + 1])
+    lines = [",".join(draw(st.lists(_GATE_TOKENS, min_size=w, max_size=w)))
+             for w in draw(st.lists(width, min_size=1, max_size=4))]
+    return "\n".join(lines) + "\n"
+
+
+@needs_extended
+class TestConvert:
+    """The array converter against float() on every token."""
+
+    @given(gate_texts())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_declines_or_matches_float(self, text):
+        got = convert(text)
+        if got is not None:
+            assert bits(got) == bits(per_token(text))
+
+    @pytest.mark.parametrize("token", [
+        _MID, nudge(_MID, -1), nudge(_MID, 1),                     # a midpoint, +-1 in digit 19
+        midpoint(2 ** 53 + 1, 0), midpoint(2 ** 53 + 1, -1),       # 9007199254740993, ...496.5
+        midpoint(5 ** 23, 23), "1e23", "-1e23",                     # 10**23 is a midpoint
+        "-1133.249616525335", "376.463540996511", "252451963850604757e3",  # round to one
+        "0", "-0", "-0.0", "0e5", "-.0e-3", "5.", "-.5", "1E+2",
+        "5e-324", "2.2250738585072014e-308", "1.7976931348623157e308", "1e400",
+        "9223372036854775806", "9223372036854775807", "9223372036854775808",
+        "-9223372036854775808", "99999999999999999999", "1" + "0" * 30,
+        "1e27", "1e28", "1e-27", "1e-28", "15e26", "0." + "0" * 26 + "1", "0." + "0" * 27 + "1",
+        "1e9223372036854775807", "1e-9223372036854775808", "1e99999999999999999999",
+    ])
+    def test_worked_cases(self, token):
+        text = f"{token},-{token.lstrip('-')}\n"
+        assert bits(convert(text)) == bits(per_token(text))
+
+    @pytest.mark.parametrize("token, mant, e10", [
+        ("-1133.249616525335", 1133249616525335, -12),
+        ("376.463540996511", 376463540996511, -12),
+        ("252451963850604757e3", 252451963850604757, 3),
+    ])
+    def test_the_traps_are_real(self, token, mant, e10):
+        # Among the worked cases: each extended result is a float64
+        # midpoint, and rounding it on misses float()'s value.
+        ext = np.longdouble(mant)
+        ext = ext * matio._POW10[e10] if e10 >= 0 else ext / matio._POW10[-e10]
+        assert float(ext) != abs(float(token))
+
+    @pytest.mark.parametrize("token", [
+        "-", ".", "-.", "1e", "1e+", "1e-", "--1", "1-2", "1+2", "+1", "1.2.3",
+        "e5", ".e1", "1e5e3", "1e5.3", "1e+-3", "",
+    ])
+    def test_declines_what_float_refuses(self, token):
+        assert convert(f"1,{token}\n") is None
+        text = f"1,{token}\n"
+        assert outcome(parse_matrix_csv, text, False) == outcome(parse_per_field, text, False)
+
+    def test_power_table_is_exact(self):
+        assert [int(p) for p in matio._POW10] == [10 ** k for k in range(28)]
+
+    def test_valid_text_skips_the_line_loop(self):
+        text = serialize_matrix_csv(np.random.default_rng(3).standard_normal((50, 7)) * 1e-3)
+        with mock.patch.object(matio, "_convert_lines", side_effect=AssertionError):
+            m = parse_matrix_csv(text)
+        assert bits(m) == bits(per_token(text))
+
+
+def test_without_extended_precision_the_line_loop_gives_the_same_bits(monkeypatch):
+    text = serialize_matrix_csv(np.random.default_rng(4).standard_normal((30, 6)) * 1e5)
+    text += "1e23,-0.0,5e-324,9223372036854775808,1e-28,-1133.249616525335\n"
+    fast = parse_matrix_csv(text)
+    monkeypatch.setattr(matio, "_EXTENDED", False)
+    assert convert(text) is None
+    assert bits(parse_matrix_csv(text)) == bits(fast) == bits(per_token(text))
 
 
 class TestSerialize:
