@@ -47,8 +47,8 @@ COND_WARN = 1e12
 GRAM_COND_MAX = 1e3
 
 # Entries l2_norm squares at a time when it takes the norms of a matrix's
-# rows: 256 KiB of squares.
-NORM_BLOCK = 1 << 15
+# rows: 64 KiB of squares, a sixteenth of _row_errors' block at k = 2048.
+NORM_BLOCK = 1 << 13
 
 # Rows per diagonal block of the triangular inverse (a power of two): each
 # block is inverted once, and the rest costs one matrix product per block.
