@@ -6,8 +6,8 @@ Quantizing one neuron means picking integer coordinates v minimizing
 lattice generated by the columns of X.  The package ships the sequential
 parameter-space solver, the data-space nearest-plane sweep, recursive
 variants that make their equivalence executable, worst-case error bounds,
-an exhaustive oracle for small instances, and LLL basis reduction as a
-quality booster, plus a CSV/JSON command-line harness.
+an exact closest-vector search to audit them, and LLL basis reduction as
+a quality booster, plus a CSV/JSON command-line harness.
 """
 
 from .linalg import (
@@ -23,14 +23,12 @@ from .linalg import (
 from .lattice import (
     AbsoluteBound,
     CvpSolution,
-    DimensionTooLarge,
     GammaBound,
     IntegerOverflow,
     LatticeBasis,
     absolute_error_bound,
     babai_from_target,
     babai_nearest_plane,
-    brute_force_cvp,
     fragile_indices,
     relative_error_factor,
     round_half_even,
@@ -73,7 +71,6 @@ __all__ = [
     "AbsoluteBound",
     "CrossLayerResult",
     "CvpSolution",
-    "DimensionTooLarge",
     "GammaBound",
     "IllConditionedWarning",
     "IntegerOverflow",
@@ -93,7 +90,6 @@ __all__ = [
     "absolute_error_bound",
     "babai_from_target",
     "babai_nearest_plane",
-    "brute_force_cvp",
     "cholesky_spd",
     "clear_basis_memo",
     "cross_layer_target",

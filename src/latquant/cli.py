@@ -14,20 +14,26 @@ import time
 import numpy as np
 
 from .lattice import (
-    DimensionTooLarge,
     LatticeBasis,
     absolute_error_bound,
-    babai_from_target,
+    fragile_indices,
+    nearest_plane_rows,
     relative_error_factor,
-    solve_cvp_exact,
+    schnorr_euchner,
 )
-from .linalg import NotPositiveDefinite, RankDeficient, l2_norm, ql_decompose
+from .linalg import NotPositiveDefinite, RankDeficient, check_vector, l2_norm, ql_decompose
 from .matio import ParseError, RaggedRows, load_matrix_csv, save_matrix_csv
-from .quantize import QuantConfig, compare_algorithms, quantize_matrix, solver_basis
+from .quantize import (
+    QuantConfig,
+    _pull_back,
+    compare_algorithms,
+    quantize_matrix,
+    solver_basis,
+)
 from .reduction import DEFAULT_DELTA, lll_reduce, map_solution
 from .report import Report
 
-_ALGO_CHOICES = ("gptq", "babai", "gptq-rec", "babai-proj-rec")
+_ALGO_CHOICES = ("gptq", "babai")
 
 
 def _parse_mu(text: str):
@@ -231,52 +237,58 @@ def _cmd_oracle(args) -> int:
         if weights.shape[1] != x.shape[1]:
             raise ValueError(f"weights have {weights.shape[1]} columns, "
                              f"calibration has {x.shape[1]}")
-        t = x @ weights[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            t = x @ weights[0]
     else:
         raise ValueError("oracle needs --target or --weights")
     if t.size != x.shape[0]:
         raise ValueError(f"target has length {t.size}, calibration has {x.shape[0]} rows")
+    check_vector(t, name="t")
 
     start = time.perf_counter()
     sb = solver_basis(x, cfg.mu, _reduce_delta(args))
-    t_emb = np.concatenate([t, np.zeros(sb.x_solver.shape[0] - t.size)])
-    lat = LatticeBasis(sb.basis)
-    exact = solve_cvp_exact(lat, t_emb, radius=args.radius)
-    babai = babai_from_target(lat, t_emb, tie_tol=cfg.tie_tol)
+    p, _ = _pull_back(sb, t[None, :], 1.0)
+    (v_babai,), (coeffs,) = nearest_plane_rows(sb.l, p)
+    v_exact, certified, nodes = schnorr_euchner(sb.l, p[0])
+    # the target is zero on the mu * I rows of the basis
+    t_emb = np.concatenate([t, np.zeros(sb.basis.shape[0] - t.size)])
+    babai_error = float(l2_norm(t_emb - sb.basis @ v_babai))
+    exact_error = float(l2_norm(t_emb - sb.basis @ v_exact))
     wall_ms = (time.perf_counter() - start) * 1e3
 
-    if exact.boundary_hit or not exact.certified:
-        print("warning: enumeration box may not contain the optimum "
-              f"(boundary_hit={exact.boundary_hit}, certified={exact.certified})",
-              file=sys.stderr)
+    if not certified:
+        print(f"warning: the search stopped after {nodes} nodes; optimum_error is "
+              "the closest vector found, an upper bound on the optimum", file=sys.stderr)
 
-    gamma = relative_error_factor(lat.factors)
-    abs_bound = absolute_error_bound(lat.factors)
-    if exact.error_l2 > 0:
-        ratio = babai.error_l2 / exact.error_l2
+    diag = np.diag(sb.l)
+    gamma = relative_error_factor(diag)
+    abs_bound = absolute_error_bound(diag)
+    if exact_error > 0:
+        ratio = babai_error / exact_error
     else:
-        ratio = 1.0 if babai.error_l2 == 0 else float("inf")
+        ratio = 1.0 if babai_error == 0 else float("inf")
 
-    v = babai.v if sb.u is None else map_solution(sb.u, babai.v)
+    v = v_babai if sb.u is None else map_solution(sb.u, v_babai)
     error_vs_original = float(l2_norm(t - x @ v))
-    print(f"optimum_error = {exact.error_l2!r}")
-    print(f"babai_error   = {babai.error_l2!r}")
+    print(f"optimum_error = {exact_error!r}")
+    print(f"babai_error   = {babai_error!r}")
     print(f"ratio         = {ratio!r}")
     print(f"gamma_bound   = {gamma.gamma!r}")
+    print(f"nodes         = {nodes}")
 
     report = Report(
         algorithm="babai" if sb.u is None else "babai+lll",
         n=x.shape[1], k=x.shape[0], m=1,
         mu=sb.mu, alpha=cfg.alpha, delta=args.delta,
         error_l2=error_vs_original,
-        error_regularized=babai.error_l2,
+        error_regularized=babai_error,
         bound_abs_paper=abs_bound.paper, bound_abs_halfstep=abs_bound.half_step,
         gamma_bound=gamma.gamma,
-        step_coeffs=babai.step_coeffs.tolist(),
-        fragile_count=len(babai.fragile),
+        step_coeffs=coeffs.tolist(),
+        fragile_count=len(fragile_indices(coeffs, cfg.tie_tol)),
         wall_time_ms=wall_ms,
         v=v.tolist(),
-        oracle_error=exact.error_l2,
+        oracle_error=exact_error,
     )
     _write_outputs(args, report)
 
@@ -344,12 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--reduce", choices=["lll"], default=None)
     b.set_defaults(func=_cmd_bounds, algo="gptq", clamp=None, alpha=1.0)
 
-    o = sub.add_parser("oracle", help="exhaustive optimum vs the greedy answer")
+    o = sub.add_parser("oracle", help="exact optimum vs the greedy answer")
     o.add_argument("--calib", required=True)
     o.add_argument("--target", default=None, help="target vector CSV (length k)")
     o.add_argument("--weights", default=None, help="derive target as X @ first row")
     add_mu_delta(o)
-    o.add_argument("--radius", type=int, default=2)
     o.add_argument("--reduce", choices=["lll"], default=None)
     o.add_argument("--report", default=None)
     o.set_defaults(func=_cmd_oracle, algo="babai", clamp=None, alpha=1.0)
@@ -379,9 +390,6 @@ def main(argv=None) -> int:
             print("error: the calibration columns are linearly dependent; LLL "
                   "reduction needs linearly independent columns", file=sys.stderr)
         return 3
-    except DimensionTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,14 +2,14 @@
 
 A lattice is carried by a full-column-rank matrix whose columns generate
 it.  This module provides the greedy nearest-plane sweep (both from a
-coefficient vector and from a raw target point), an exhaustive
-closest-vector oracle for small dimensions, and the worst-case error
-bounds determined by the Gram-Schmidt length profile diag(L).
+coefficient vector and from a raw target point), the exact closest
+vector by Schnorr-Euchner enumeration on the same factor, and the
+worst-case error bounds determined by the Gram-Schmidt length profile
+diag(L).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -33,11 +33,10 @@ DEFAULT_TIE_TOL = 1e-9
 # column is moved once per earlier block instead of once per earlier column.
 SWEEP_BLOCK = 64
 
-# Exhaustive enumeration is capped at this many lattice dimensions.
-ENUM_MAX_DIM = 8
-
-# Candidate blocks are kept below this many vectors to bound memory.
-_ENUM_BLOCK = 1 << 18
+# Integers schnorr_euchner visits before it stops with the best vector
+# found so far.  A node costs about a microsecond; an i.i.d. Gaussian
+# lattice at n = 40 takes ~0.2 M nodes, a correlated one a few million.
+NODE_BUDGET = 10_000_000
 
 
 class IntegerOverflow(OverflowError):
@@ -46,13 +45,6 @@ class IntegerOverflow(OverflowError):
     def __init__(self, value):
         self.value = value
         super().__init__(f"integer result {value} exceeds the int64 range")
-
-
-class DimensionTooLarge(ValueError):
-    def __init__(self, n: int, limit: int = ENUM_MAX_DIM):
-        self.n = n
-        self.limit = limit
-        super().__init__(f"exhaustive search supports n <= {limit}, got n = {n}")
 
 
 def round_half_even(x: float) -> int:
@@ -102,10 +94,10 @@ class CvpSolution:
     """Integer solution plus the evidence needed to audit it.
 
     step_coeffs holds the pre-rounding quantities, one per basis column;
-    fragile lists the positions that were near-ties.  boundary_hit and
-    certified are only meaningful for solutions found by enumeration:
-    boundary_hit means the minimizer touched the search box edge, and
-    certified means the box provably contained the true optimum.
+    fragile lists the positions that were near-ties.  certified is set
+    on a solve_cvp_exact solution whose search finished, so v is a true
+    closest vector; boundary_hit is always False (no search has a box
+    edge to touch).
     """
 
     v: np.ndarray
@@ -192,100 +184,87 @@ def babai_from_target(basis: LatticeBasis, t,
     )
 
 
-def _candidate_blocks(n: int, radius: int):
-    """Yield integer offset blocks covering [-radius, radius]^n in
-    lexicographic order, each block at most _ENUM_BLOCK rows."""
-    width = 2 * radius + 1
-    head = 0
-    while width ** (n - head) > _ENUM_BLOCK:
-        head += 1
-    axes = [np.arange(-radius, radius + 1)] * (n - head)
-    tail = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n - head)
-    if head == 0:
-        yield tail
-        return
-    block = np.empty((tail.shape[0], n), dtype=np.int64)
-    block[:, head:] = tail
-    for prefix in itertools.product(range(-radius, radius + 1), repeat=head):
-        block[:, :head] = prefix
-        yield block
+def schnorr_euchner(l: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, bool, int]:
+    """Closest vector by depth-first Schnorr-Euchner enumeration
+    (Schnorr & Euchner 1994; Agrell, Eriksson, Vardy & Zeger, "Closest
+    point search in lattices", IEEE TIT 2002).
+
+    Reads what nearest_plane_rows reads: the lower-triangular L and the
+    coordinates p = Q^T t of one target.  Level i, in the sweep's order,
+    visits the integers in zig-zag order around its coefficient
+    c_i = (p_i - sum_{j<i} L_ij v_j) / L_ii, subtracted in the sweep's
+    order, so the first leaf is Babai's point (bit for bit for n <=
+    SWEEP_BLOCK) and the first radius the Babai error.  A branch is cut
+    once its partial squared distance sum_{j<=i} L_jj^2 (c_j - v_j)^2
+    reaches the best found so far; zig-zag order is non-decreasing in that
+    distance, so the first sibling cut ends its level.  Only a strictly
+    closer leaf replaces the best: among equally close vectors the first
+    in this order wins, which is Babai's when it ties.
+
+    The search runs on L and p divided by a power of two near L's largest
+    entry, so no squared distance overflows, and each level keeps its
+    partial sums p_i - sum_{j<m} L_ij v_j, recomputed from the shallowest
+    level changed since it was last entered.  Returns the best v, whether
+    the search finished (False when it stopped past NODE_BUDGET visited
+    integers: v is then the best found so far, and its distance an upper
+    bound on the optimum's), and the number of integers visited."""
+    n = l.shape[0]
+    scale = power_of_two_scale(l)
+    rows = (l / scale).tolist()
+    diag = [rows[i][i] for i in range(n)]
+    part = [[x] + [0.0] * i for i, x in enumerate((p / scale).tolist())]
+    stale = [0] * (n + 1)  # part[i][j] is current for j <= stale[i]
+    center = [0.0] * n
+    delta = [0.0] * n
+    v = [0.0] * n
+    dist = [0.0] * (n + 1)  # dist[i]: partial squared distance of levels < i
+    best, best_v = math.inf, None
+    nodes, i, descend = 0, 0, True
+    while True:
+        if descend:
+            row, ps, s = rows[i], part[i], stale[i]
+            for j in range(s, i):
+                ps[j + 1] = ps[j] - row[j] * v[j]
+            stale[i + 1] = min(stale[i + 1], s)  # level i + 1 also reads v_s .. v_{i-1}
+            stale[i] = max(i - 1, 0)  # v_{i-1} changes before level i is entered again
+            c = center[i] = ps[i] / diag[i]
+            vi = float(round(c))  # ties to even, as round_half_even
+            delta[i] = 1.0 if c >= vi else -1.0
+        else:
+            vi = v[i] + delta[i]
+            delta[i] = -delta[i] - (1.0 if delta[i] > 0 else -1.0)
+        nodes += 1
+        e = (center[i] - vi) * diag[i]
+        d2 = dist[i] + e * e
+        if d2 < best:
+            v[i] = vi
+            if i + 1 < n:
+                dist[i + 1] = d2
+                i, descend = i + 1, True
+                continue
+            best, best_v = d2, v.copy()
+        # a leaf, or a cut: no later sibling at level i is closer
+        i, descend = i - 1, False
+        if i < 0 or nodes >= NODE_BUDGET:
+            return rows_to_int64(np.array(best_v)), i < 0, nodes
 
 
-def brute_force_cvp(basis: LatticeBasis, t, radius: int = 2) -> CvpSolution:
-    """Exhaustive closest-vector search over a box of integer vectors.
-
-    The box is centered on the rounded real least-squares solution of
-    basis @ x = t and extends radius steps per coordinate.  Ties are
-    broken by lexicographically smallest v.  step_coeffs carries the real
-    least-squares coordinates (the box center before rounding).
-
-    boundary_hit flags a minimizer on the box edge.  certified is set when
-    ||B(c - v_best)|| <= sigma_min(B) * (radius + 0.5), which proves no
-    integer vector outside the box can do better.
-    """
-    n = basis.n
-    if n > ENUM_MAX_DIM:
-        raise DimensionTooLarge(n)
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
+def solve_cvp_exact(basis: LatticeBasis, t) -> CvpSolution:
+    """The closest lattice vector to the target point t: schnorr_euchner on
+    the basis's QL factor.  step_coeffs holds the real least-squares
+    coordinates L^-1 Q^T t; certified is set when the search finished."""
     t = check_vector(t, basis.k, "t")
-
     f = basis.factors
-    c_real = f.l_inv @ (f.q.T @ t)
-    center = rows_to_int64(np.rint(c_real))
-    b = basis.basis
-    # Distances are compared on b and t divided by a power of two near
-    # their largest magnitude: every comparison and tie-break of in-range
-    # data is the unscaled one, and the squared distances of large data
-    # cannot overflow.
-    scale = power_of_two_scale(b, t)
-    b_s, t_s = b / scale, t / scale
-
-    best_err2 = math.inf
-    best_v: np.ndarray | None = None
-    for block in _candidate_blocks(n, radius):
-        cand = center[None, :] + block
-        diff = t_s[None, :] - cand @ b_s.T
-        err2 = np.einsum("ij,ij->i", diff, diff)
-        i = int(np.argmin(err2))  # first occurrence: lexicographic tie-break
-        if err2[i] < best_err2:
-            best_err2 = float(err2[i])
-            best_v = cand[i].copy()
-    if best_v is None:
-        raise ValueError("no candidate in the search box is at a finite distance "
-                         "from the target")
-
-    residual = t - b @ best_v
-    err = float(l2_norm(residual))
-    boundary_hit = bool(np.any(np.abs(best_v - center) == radius))
-
-    # Certificate: the error splits into the fixed off-span part plus the
-    # in-span distance ||B(c_real - v)||; outside the box that distance is
-    # at least sigma_min * (radius + 0.5).  Compared in the scaled units.
-    rho = t_s - b_s @ c_real
-    in_span2 = max(best_err2 - float(rho @ rho), 0.0)
-    sigma_min = float(np.linalg.svd(b, compute_uv=False)[-1]) / scale
-    certified = in_span2 <= (sigma_min * (radius + 0.5)) ** 2
-
+    p = t @ f.q
+    v, certified, _ = schnorr_euchner(f.l, p)
+    residual = t - basis.basis @ v
     return CvpSolution(
-        v=best_v,
+        v=v,
         residual=residual,
-        error_l2=err,
-        step_coeffs=c_real,
-        boundary_hit=boundary_hit,
+        error_l2=float(l2_norm(residual)),
+        step_coeffs=f.l_inv @ p,
         certified=certified,
     )
-
-
-def solve_cvp_exact(basis: LatticeBasis, t, radius: int = 2,
-                    max_radius: int = 16) -> CvpSolution:
-    """brute_force_cvp with the retry policy: grow the box by 2 until the
-    minimizer is interior and certified (or max_radius is hit)."""
-    while True:
-        sol = brute_force_cvp(basis, t, radius=radius)
-        if (sol.certified and not sol.boundary_hit) or radius >= max_radius:
-            return sol
-        radius += 2
 
 
 class AbsoluteBound(NamedTuple):

@@ -9,8 +9,8 @@ takes L from a Cholesky factorization of the small n x n Gram matrix and
 inverts it once.  Forming that matrix squares the condition number, so
 past GRAM_COND_MAX (and whenever the Cholesky factorization fails) L
 comes from the QL factorization X = Q L instead, which ql_decompose
-computes by Householder QR; the reference and oracle code, which also
-needs Q, always uses it.
+computes by Householder QR; the reference code built on LatticeBasis,
+which also needs Q, always uses it.
 
 Everything here is numpy: the factorizations are np.linalg's, and L^-1
 is block substitution on matrix products.  Every triangular solve

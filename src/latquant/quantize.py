@@ -194,7 +194,8 @@ class SolverBasis:
     with mu * I stacked under it, or x itself at mu = 0), and basis
     (x_solver, or B after reduction) are built on first use, for the
     callers that need the basis itself: the recursive reference solvers,
-    the reduced path and the oracle.  A stacked x_solver is read-only."""
+    the reduced path and the oracle's error of a vector.  A stacked
+    x_solver is read-only."""
 
     x: np.ndarray
     mu: float

@@ -6,6 +6,9 @@ import jsonschema
 import numpy as np
 import pytest
 
+import latquant.cli
+import latquant.lattice
+import latquant.linalg
 import latquant.quantize
 from latquant.cli import main
 from latquant.lattice import LatticeBasis, babai_from_target
@@ -78,13 +81,24 @@ class TestQuantize:
         assert data["fragile_count"] == 0
         assert (workdir / "A.csv").read_bytes() == (workdir / "B.csv").read_bytes()
 
-    def test_recursive_algorithms_accepted(self, workdir):
+    def test_recursive_algorithms_accepted(self):
+        # the recursive references stay in the library (and compare)
+        for algo in ("gptq_rec", "babai_proj_rec"):
+            res = scaled_quantize(np.eye(3), np.array([0.4, 1.6, -0.9]),
+                                  QuantConfig(algorithm=algo))
+            np.testing.assert_array_equal(res.v, [0, 2, -1])
+
+    @pytest.mark.parametrize("algo", ["gptq-rec", "babai-proj-rec"])
+    def test_recursive_algorithms_refused(self, workdir, capsys, algo):
         calib = write(workdir / "X.csv", np.eye(3))
         weights = write(workdir / "W.csv", [[0.4, 1.6, -0.9]])
-        for algo in ("gptq-rec", "babai-proj-rec"):
-            assert main(["quantize", "--weights", weights, "--calib", calib,
-                         "--algo", algo]) == 0
-            assert (workdir / "V.csv").read_text() == "0,2,-1\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["quantize", "--weights", weights, "--calib", calib, "--algo", algo])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: latquant quantize")
+        assert f"invalid choice: '{algo}'" in err
+        assert not (workdir / "V.csv").exists() and not (workdir / "report.json").exists()
 
     def test_rank_deficient_exits_3(self, workdir, capsys):
         calib = write(workdir / "X.csv", [[1.0, 1.0], [2.0, 2.0]])
@@ -529,10 +543,53 @@ class TestOracle:
         assert data["v"] == ref["v"]
         assert data["oracle_error"] == pytest.approx(1e160 * ref["oracle_error"], rel=1e-12)
 
-    def test_dimension_guard_exits_2(self, workdir, capsys):
+    def test_identity_past_eight_dimensions(self, workdir, capsys):
         calib = write(workdir / "X.csv", np.eye(9))
         target = write(workdir / "T.csv", [np.zeros(9)])
-        assert main(["oracle", "--calib", calib, "--target", target]) == 2
+        assert main(["oracle", "--calib", calib, "--target", target]) == 0
+        out = capsys.readouterr().out
+        assert float(re.search(r"ratio\s*=\s*([-0-9.eE+]+)", out).group(1)) == 1.0
+
+    @pytest.mark.parametrize("options", [[], ["--reduce", "lll"]])
+    def test_factors_once(self, workdir, monkeypatch, options):
+        rng = np.random.default_rng(3)
+        calib = write(workdir / "X.csv", rng.uniform(-1, 1, (8, 5)))
+        weights = write(workdir / "W.csv", rng.uniform(-2, 2, (1, 5)))
+        calls = []
+        gram_factor = latquant.quantize.gram_factor
+
+        def counting(h):
+            calls.append(h.shape)
+            return gram_factor(h)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the oracle factors only through solver_basis")
+
+        monkeypatch.setattr(latquant.quantize, "gram_factor", counting)
+        for module in (latquant.linalg, latquant.lattice, latquant.quantize, latquant.cli):
+            monkeypatch.setattr(module, "ql_decompose", refused)
+        monkeypatch.setattr(latquant.lattice.LatticeBasis, "__init__", refused)
+        assert main(["oracle", "--calib", calib, "--weights", weights, *options]) == 0
+        assert calls == [(5, 5)]
+
+    def test_budget_stops_the_search_with_a_warning(self, workdir, capsys, monkeypatch):
+        # the worked basis with a budget of 2 nodes: the search returns
+        # Babai's vector, the first leaf, and says it did not finish
+        calib = write(workdir / "X.csv", [[3.0, 5.0], [1.0, 2.0]])
+        target = write(workdir / "T.csv", [[0.4, 0.4]])
+        monkeypatch.setattr(latquant.lattice, "NODE_BUDGET", 2)
+        assert main(["oracle", "--calib", calib, "--target", target]) == 0
+        captured = capsys.readouterr()
+        assert "warning: the search stopped after 2 nodes" in captured.err
+        assert float(re.search(r"ratio\s*=\s*([-0-9.eE+]+)", captured.out).group(1)) == 1.0
+
+    def test_has_no_radius_option(self, workdir, capsys):
+        calib = write(workdir / "X.csv", np.eye(2))
+        target = write(workdir / "T.csv", [[0.4, 0.4]])
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--calib", calib, "--target", target, "--radius", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --radius" in capsys.readouterr().err
 
     def test_weights_width_mismatch_exits_2(self, workdir, capsys):
         calib = write(workdir / "X.csv", [[3.0, 5.0], [1.0, 2.0]])
@@ -541,6 +598,12 @@ class TestOracle:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: weights have 3 columns, calibration has 2\n"
+
+    def test_overflowing_target_exits_2(self, workdir, capsys):
+        calib = write(workdir / "X.csv", [[1e300, 1e300], [1e300, -1e300]])
+        weights = write(workdir / "W.csv", [[1e10, 0.0]])
+        assert main(["oracle", "--calib", calib, "--weights", weights]) == 2
+        assert capsys.readouterr().err == "error: t contains non-finite entries\n"
 
     def test_needs_target_or_weights(self, workdir):
         calib = write(workdir / "X.csv", np.eye(2))

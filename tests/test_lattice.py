@@ -1,15 +1,17 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latquant.lattice
 from latquant.lattice import (
-    DimensionTooLarge,
     LatticeBasis,
     absolute_error_bound,
     babai_from_target,
     babai_nearest_plane,
-    brute_force_cvp,
     relative_error_factor,
     round_half_even,
     solve_cvp_exact,
@@ -132,13 +134,13 @@ class TestBabaiFromTarget:
 
 class TestBruteForce:
     def test_identity(self):
-        sol = brute_force_cvp(LatticeBasis(np.eye(2)), np.array([0.4, 0.4]), radius=2)
+        sol = solve_cvp_exact(LatticeBasis(np.eye(2)), np.array([0.4, 0.4]))
         np.testing.assert_array_equal(sol.v, [0, 0])
 
     def test_worked_instance_optimum(self, worked_basis):
         # this basis generates the plain integer grid (|det| = 1, integer
         # entries), so the optimum is coordinatewise rounding of t
-        sol = brute_force_cvp(LatticeBasis(worked_basis), np.array([0.4, 0.4]), radius=3)
+        sol = solve_cvp_exact(LatticeBasis(worked_basis), np.array([0.4, 0.4]))
         np.testing.assert_array_equal(sol.v, [0, 0])
         np.testing.assert_allclose(worked_basis @ sol.v, [0.0, 0.0], atol=1e-15)
         assert sol.error_l2 == pytest.approx(np.sqrt(0.32), rel=1e-12)
@@ -147,7 +149,7 @@ class TestBruteForce:
         x, _ = make_instance(4, n=3, k=5)
         basis = LatticeBasis(x)
         v0 = np.array([2, -1, 3])
-        sol = brute_force_cvp(basis, x @ v0, radius=2)
+        sol = solve_cvp_exact(basis, x @ v0)
         np.testing.assert_array_equal(sol.v, v0)
         assert sol.error_l2 <= 1e-12
 
@@ -159,44 +161,30 @@ class TestBruteForce:
         rng = np.random.default_rng(seed)
         b = rng.integers(-3, 4, (5, 3)).astype(float) + np.eye(5, 3)
         t = rng.integers(-6, 7, 5) / 2.0
-        ref = brute_force_cvp(LatticeBasis(b), t)
+        ref = solve_cvp_exact(LatticeBasis(b), t)
         for scale in (2.0 ** -60, 2.0 ** 40, 2.0 ** 600):
-            sol = brute_force_cvp(LatticeBasis(scale * b), scale * t)
+            sol = solve_cvp_exact(LatticeBasis(scale * b), scale * t)
             np.testing.assert_array_equal(sol.v, ref.v)
             assert (sol.boundary_hit, sol.certified) == (ref.boundary_hit, ref.certified)
             assert sol.error_l2 == pytest.approx(scale * ref.error_l2, rel=1e-15)
 
     def test_large_finite_data(self, worked_basis):
         t = np.array([0.4, 0.4])
-        ref = brute_force_cvp(LatticeBasis(worked_basis), t, radius=3)
-        sol = brute_force_cvp(LatticeBasis(1e160 * worked_basis), 1e160 * t, radius=3)
+        ref = solve_cvp_exact(LatticeBasis(worked_basis), t)
+        sol = solve_cvp_exact(LatticeBasis(1e160 * worked_basis), 1e160 * t)
         np.testing.assert_array_equal(sol.v, ref.v)
         assert sol.error_l2 == pytest.approx(1e160 * ref.error_l2, rel=1e-12)
         assert babai_from_target(LatticeBasis(1e160 * worked_basis), 1e160 * t).error_l2 \
             == pytest.approx(1e160 * np.sqrt(2.92), rel=1e-12)
 
-    def test_dimension_guard(self):
-        basis = LatticeBasis(np.eye(9))
-        with pytest.raises(DimensionTooLarge):
-            brute_force_cvp(basis, np.zeros(9))
-
-    def test_radius_guard(self):
-        with pytest.raises(ValueError):
-            brute_force_cvp(LatticeBasis(np.eye(2)), np.zeros(2), radius=0)
-
-    def test_boundary_flag(self):
-        # target 5 steps out with radius 1: the best in-box vector sits on the edge
-        sol = brute_force_cvp(LatticeBasis(np.eye(2)), np.array([0.0, 0.0]), radius=1)
-        assert not sol.boundary_hit
-        far = brute_force_cvp(LatticeBasis(np.eye(1)), np.array([10.0]), radius=1)
-        assert not far.boundary_hit  # center follows the least-squares solution
-        assert far.v[0] == 10
-
-    def test_lexicographic_tie_break(self):
-        # target at the center of four grid cells: all of (0,0),(0,1),(1,0),(1,1) tie
-        sol = brute_force_cvp(LatticeBasis(np.eye(2)), np.array([0.5, 0.5]), radius=2)
+    def test_tie_goes_to_the_first_vector_searched(self):
+        # target at the center of four grid cells: all of (0,0),(0,1),(1,0),(1,1)
+        # tie, and the first in search order is Babai's, rounded ties to even
+        sol = solve_cvp_exact(LatticeBasis(np.eye(2)), np.array([0.5, 0.5]))
         assert sol.error_l2 == pytest.approx(np.sqrt(0.5), rel=1e-12)
         np.testing.assert_array_equal(sol.v, [0, 0])
+        sol = solve_cvp_exact(LatticeBasis(np.eye(2)), np.array([1.5, 0.5]))
+        np.testing.assert_array_equal(sol.v, [2, 0])
 
     def test_certified_after_retry(self, worked_basis):
         basis = LatticeBasis(worked_basis)
@@ -204,15 +192,54 @@ class TestBruteForce:
         assert sol.certified and not sol.boundary_hit
         np.testing.assert_array_equal(sol.v, [0, 0])
 
-    def test_oracle_dominates_greedy(self):
+    def test_matches_enumeration_of_a_box_that_holds_the_optimum(self):
+        # outside the box of radius r around the rounded least-squares
+        # coordinates c, ||B(c - v)|| >= sigma_min (r + 1/2); r is chosen so
+        # that bound passes Babai's in-span distance, which the optimum's
+        # does not exceed.  Singular values in [1, 4] keep the box small.
+        improved = 0
         for seed in range(200):
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(90_000 + seed)
             n = int(rng.integers(1, 6))
-            k = min(n + int(rng.integers(0, 5)), 8)
+            k = n + int(rng.integers(0, 4))
+            left, _ = np.linalg.qr(rng.normal(size=(k, n)))
+            right, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            b = left @ np.diag(rng.uniform(1.0, 4.0, n)) @ right.T
+            t = rng.uniform(-3.0, 3.0, k)
+            basis = LatticeBasis(b)
+            greedy = babai_from_target(basis, t)
+            c = np.linalg.lstsq(b, t, rcond=None)[0]
+            sigma_min = np.linalg.svd(b, compute_uv=False)[-1]
+            r = max(1, math.ceil(np.linalg.norm(b @ (c - greedy.v)) / sigma_min - 0.5))
+            box = np.rint(c) + np.array(list(itertools.product(range(-r, r + 1), repeat=n)))
+            best = np.min(np.linalg.norm(t - box @ b.T, axis=1))
+            sol = solve_cvp_exact(basis, t)
+            assert sol.certified
+            assert sol.error_l2 == pytest.approx(best, rel=1e-12, abs=1e-12)
+            improved += sol.error_l2 < greedy.error_l2 - 1e-12
+        assert improved >= 10  # Babai is not optimal on these
+
+    def test_budget_stops_at_the_best_vector_so_far(self, worked_basis, monkeypatch):
+        # two nodes reach the first leaf, Babai's vector, and no further
+        monkeypatch.setattr(latquant.lattice, "NODE_BUDGET", 2)
+        t = np.array([0.4, 0.4])
+        sol = solve_cvp_exact(LatticeBasis(worked_basis), t)
+        assert not sol.certified and not sol.boundary_hit
+        np.testing.assert_array_equal(sol.v, babai_from_target(LatticeBasis(worked_basis), t).v)
+
+    def test_oracle_dominates_greedy(self):
+        # seeds 200.. take n = 9..24
+        for seed in range(220):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 6) if seed < 200 else rng.integers(9, 25))
+            k = n + int(rng.integers(0, 5))
+            if seed < 200:
+                k = min(k, 8)
             basis = LatticeBasis(rng.uniform(-1.0, 1.0, (k, n)))
             w = rng.uniform(-2.0, 2.0, n)
             greedy = babai_nearest_plane(basis, w)
             exact = solve_cvp_exact(basis, basis.basis @ w)
+            assert exact.certified
             assert exact.error_l2 <= greedy.error_l2 + 1e-12
 
 
@@ -263,10 +290,11 @@ class TestBounds:
         sol = babai_nearest_plane(basis, w)
         assert sol.error_l2 ** 2 <= np.sum(basis.factors.diag ** 2) + 1e-12
 
-    @pytest.mark.parametrize("seed", range(25))
+    @pytest.mark.parametrize("seed", range(35))
     def test_gamma_bound_holds_vs_oracle(self, seed):
+        # seeds 25..34 take n = 9..24
         rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 6) if seed < 25 else rng.integers(9, 25))
         k = n + int(rng.integers(0, 4))
         basis = LatticeBasis(rng.uniform(-1.0, 1.0, (k, n)))
         w = rng.uniform(-2.0, 2.0, n)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import latquant
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "latquant"
 
@@ -31,7 +33,8 @@ def scipy_imports(argv, cwd) -> list[str]:
     ["-c", "import latquant"],
     ["-m", "latquant", "--help"],
     ["-m", "latquant", "quantize", "--weights", "W.csv", "--calib", "X.csv"],
-], ids=["import", "help", "quantize"])
+    ["-m", "latquant", "oracle", "--weights", "W.csv", "--calib", "X.csv"],
+], ids=["import", "help", "quantize", "oracle"])
 def test_no_scipy_module_is_loaded(argv, tmp_path):
     (tmp_path / "X.csv").write_text("3.0,5.0\n1.0,2.0\n")
     (tmp_path / "W.csv").write_text("0.4,0.7\n")
@@ -52,3 +55,7 @@ def test_no_module_imports_scipy():
                       if name.split(".")[0] == "scipy"]
     assert len(list(PACKAGE.glob("*.py"))) > 5
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in latquant.__all__ if not hasattr(latquant, name)] == []
