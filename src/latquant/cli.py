@@ -247,7 +247,11 @@ def _cmd_oracle(args) -> int:
 
     start = time.perf_counter()
     sb = solver_basis(x, cfg.mu, _reduce_delta(args))
-    p, _ = _pull_back(sb, t[None, :], 1.0)
+    try:
+        p, _ = _pull_back(sb, t[None, :], 1.0)
+    except ValueError:  # its advice is a larger alpha, which oracle does not take
+        raise ValueError("the target's coordinates on the lattice overflow the float range; "
+                         "scale the target down or pass a larger --mu") from None
     (v_babai,), (coeffs,) = nearest_plane_rows(sb.l, p)
     v_exact, certified, nodes = schnorr_euchner(sb.l, p[0])
     # the target is zero on the mu * I rows of the basis

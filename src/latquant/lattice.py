@@ -6,6 +6,16 @@ coefficient vector and from a raw target point), the exact closest
 vector by Schnorr-Euchner enumeration on the same factor, and the
 worst-case error bounds determined by the Gram-Schmidt length profile
 diag(L).
+
+The row sweeps have two paths, chosen by the number of rows m.  For
+m > 1 each step is a few numpy operations on all rows at once.  For
+m == 1 those operations would act on 1-element arrays, so the steps
+inside a block run on Python floats instead, on the factor's triangle
+held as lists (row_sweep, built once per factor): the same IEEE
+multiplies, subtractions and divisions in the same order, so the same
+bits, in about half the array loop's time at n = 64 (130 against
+250-290 us a sweep on a 2-core machine).  The product past each block
+is block_update on both paths.
 """
 
 from __future__ import annotations
@@ -128,7 +138,32 @@ def block_update(steps: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.matmul(np.ascontiguousarray(steps.T)[:, None, :], cols)[:, 0, :].T
 
 
-def nearest_plane_rows(l: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class RowSweep(NamedTuple):
+    """What a one-row sweep reads of a lower-triangular factor, held as
+    Python floats: diag[i], and rows[i], row i from the first column of its
+    block of SWEEP_BLOCK columns up to the diagonal.  cols is the array
+    path's column layout, np.ascontiguousarray(factor.T), for the product
+    past each block; None when the factor fits in one block."""
+
+    diag: list[float]
+    rows: list[list[float]]
+    cols: np.ndarray | None
+
+
+def row_sweep(tri: np.ndarray, block: int = SWEEP_BLOCK) -> RowSweep:
+    """The RowSweep of the lower-triangular tri, swept in blocks of block
+    columns.  Built once per factor and reused across one-row calls."""
+    n = tri.shape[0]
+    diag, rows = [], []
+    for s in range(0, n, block):
+        for i, row in enumerate(tri[s : s + block, s : s + block].tolist()):
+            diag.append(row[i])
+            rows.append(row[:i])
+    return RowSweep(diag, rows, np.ascontiguousarray(tri.T) if n > block else None)
+
+
+def nearest_plane_rows(l: np.ndarray, p: np.ndarray,
+                       sweep: RowSweep | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-plane sweep for m targets at once.
 
     Row r of p holds the data-space coordinates Q^T t of target r.  Step
@@ -141,9 +176,26 @@ def nearest_plane_rows(l: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.nda
     SWEEP_BLOCK that is the plain one-step-at-a-time sweep; past that the
     coefficients differ from it in the last bits (the sums are taken in
     another order).  Every operation is elementwise or one product per
-    row, so a row's bits do not depend on the other rows.  Returns the
-    integer rows v and the pre-rounding coefficients."""
-    coeffs = np.array(np.asarray(p, dtype=float).T, order="C")  # row i holds coordinate i
+    row, so a row's bits do not depend on the other rows.
+
+    One target (m == 1) is swept on Python floats (_nearest_plane_row),
+    on sweep, row_sweep(l) when not given; m > 1 runs the array loop.  A
+    coefficient that leaves the float range ends in IntegerOverflow, with
+    no warning, on either path.  Returns the integer rows v and the
+    pre-rounding coefficients."""
+    p = np.asarray(p, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
+        coeffs = None
+        if p.shape[0] == 1:
+            coeffs = _nearest_plane_row(row_sweep(l) if sweep is None else sweep, p[0])
+        if coeffs is None:
+            coeffs = _nearest_plane_array(l, p)
+        return rows_to_int64(np.rint(coeffs)), coeffs
+
+
+def _nearest_plane_array(l: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """nearest_plane_rows' coefficients, one numpy step for all rows."""
+    coeffs = np.array(p.T, order="C")  # row i holds coordinate i
     n = coeffs.shape[0]
     l_cols = np.ascontiguousarray(l.T)  # row i holds column i of L
     for s in range(0, n, SWEEP_BLOCK):
@@ -153,9 +205,38 @@ def nearest_plane_rows(l: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.nda
             coeffs[i + 1 : e] -= l_cols[i, i + 1 : e, None] * np.rint(coeffs[i])
         if e < n:
             coeffs[e:] -= block_update(np.rint(coeffs[s:e]), l_cols[s:e, e:])
-    del l_cols  # released before the rounding
-    coeffs = np.ascontiguousarray(coeffs.T)
-    return rows_to_int64(np.rint(coeffs)), coeffs
+    del l_cols  # released before the transposed copy
+    return np.ascontiguousarray(coeffs.T)
+
+
+def _nearest_plane_row(sweep: RowSweep, p: np.ndarray) -> np.ndarray | None:
+    """nearest_plane_rows' coefficients for the one target p, on Python
+    floats.  Coefficient i takes the array loop's subtractions of
+    L_ij v_j, j from the start of its block up to i, in the same order,
+    then its division by L_ii: the same IEEE operations, so the same
+    bits.  v_j is np.rint's value, signed zeros included (round, then
+    copysign).  Past each block block_update runs as in the array loop.
+    None where a coefficient leaves the float range, for the array loop
+    to report."""
+    c = p.tolist()
+    n = len(c)
+    out = []
+    try:
+        for s in range(0, n, SWEEP_BLOCK):
+            e = min(s + SWEEP_BLOCK, n)
+            v = []
+            for ci, row, d in zip(c[s:e], sweep.rows[s:e], sweep.diag[s:e]):
+                for a, b in zip(row, v):
+                    ci -= a * b
+                ci /= d
+                out.append(ci)
+                v.append(math.copysign(round(ci), ci))
+            if e < n:
+                past = block_update(np.array(v)[:, None], sweep.cols[s:e, e:])
+                c[e:] = (np.array(c[e:]) - past[:, 0]).tolist()
+    except (OverflowError, ValueError, ZeroDivisionError):  # round(inf), round(nan), x / 0
+        return None
+    return np.array([out])
 
 
 def babai_nearest_plane(basis: LatticeBasis, w,

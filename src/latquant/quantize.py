@@ -24,9 +24,13 @@ SWEEP_BLOCK columns each step updates the rest of the block, and after
 the block the columns past it take all of its steps in one vector-matrix
 product per row.  The single-row functions run the same kernels on one
 row, and compare_algorithms runs all four over a layer's rows on one
-factorization.  cross_layer_target, the one-row cross-layer call, alone
-keeps the last lattice it factored (_cached_basis) while x_hat and mu
-stay the same, so a layer quantized row by row factors once.
+factorization.  A call with one row (m == 1) takes the kernels' one-row
+path: the steps inside a block run on Python floats, with the bits of
+the array loop (see lattice.py).  cross_layer_target, the one-row
+cross-layer call, alone keeps the last lattice it factored
+(_cached_basis), and the factor's triangles as that path reads them,
+while x_hat and mu stay the same, so a layer quantized row by row
+factors once and converts its triangles once.
 
 Rank-deficient calibration data (in particular k < n) is handled by
 stacking mu * I under X, which adds mu^2 to every eigenvalue of X^T X;
@@ -51,9 +55,11 @@ import numpy as np
 from .lattice import (
     DEFAULT_TIE_TOL,
     SWEEP_BLOCK,
+    RowSweep,
     block_update,
     fragile_indices,
     nearest_plane_rows,
+    row_sweep,
     rows_to_int64,
 )
 from .linalg import (
@@ -217,6 +223,16 @@ class SolverBasis:
     def basis(self) -> np.ndarray:
         return self.x_solver if self.basis_red is None else self.basis_red
 
+    @cached_property
+    def l_sweep(self) -> RowSweep:
+        """l as the one-row nearest-plane sweep reads it, built on first use."""
+        return row_sweep(self.l)
+
+    @cached_property
+    def l_inv_sweep(self) -> RowSweep:
+        """l_inv as the one-row GPTQ loop reads it, built on first use."""
+        return row_sweep(self.l_inv)
+
 
 def solver_basis(x, mu: float | str, reduce_delta: float | None = None) -> SolverBasis:
     """Validate x, resolve and apply the regularizer, optionally
@@ -280,23 +296,43 @@ def _cached_basis(x: np.ndarray, mu: float | str) -> SolverBasis:
     memo holds the copy and the basis until the next miss or
     clear_basis_memo()."""
     global _last_basis
-    if x.flags.c_contiguous:
-        order = "C"
-    elif x.flags.f_contiguous:
-        order = "F"
-    else:
+    sb = _memo_hit(x, mu)
+    if sb is not None:
+        return sb
+    key = _memo_key(x, mu)
+    if key is None:
         return _factor_basis(x, mu)
-    key = (mu if isinstance(mu, str) else float(mu).hex(), x.shape, order)
-    last = _last_basis
-    if (last is not None and last[0] == key
-            and np.array_equal(last[1].view(np.uint64), x.view(np.uint64))):
-        return last[2]
     x = np.copy(x)  # order "K": the same memory order as the caller's
     sb = _factor_basis(x, mu)
     for a in (sb.x, sb.l, sb.l_inv):
         a.setflags(write=False)
     _last_basis = key, x, sb
     return sb
+
+
+def _memo_key(x: np.ndarray, mu: float | str) -> tuple | None:
+    """The memo's key for x and mu; None for an x it does not keep."""
+    if x.flags.c_contiguous:
+        order = "C"
+    elif x.flags.f_contiguous:
+        order = "F"
+    else:
+        return None
+    return mu if isinstance(mu, str) else float(mu).hex(), x.shape, order
+
+
+def _memo_hit(x, mu: float | str) -> SolverBasis | None:
+    """The basis the memo holds for x and mu, or None.  x may be any input,
+    checked or not: only a float64 ndarray is compared, and one whose key
+    and bits equal those of the memo's copy, which check_matrix has passed,
+    is itself a valid calibration matrix."""
+    last = _last_basis
+    if last is None or type(x) is not np.ndarray or x.dtype != np.float64:
+        return None
+    if last[0] == _memo_key(x, mu) and np.array_equal(last[1].view(np.uint64),
+                                                      x.view(np.uint64)):
+        return last[2]
+    return None
 
 
 def clear_basis_memo() -> None:
@@ -306,7 +342,8 @@ def clear_basis_memo() -> None:
 
 
 def _gptq_rows(l_inv: np.ndarray, w: np.ndarray,
-               history: list[np.ndarray] | None = None, alpha: float = 1.0):
+               history: list[np.ndarray] | None = None, alpha: float = 1.0,
+               sweep: RowSweep | None = None):
     """The sequential loop for the rows of w / alpha at once (divided in
     the working array, so no scaled copy of w is held): round column i,
     then shift the remaining coordinates along column i of L^-1 so the
@@ -323,8 +360,26 @@ def _gptq_rows(l_inv: np.ndarray, w: np.ndarray,
     the coefficients differ from it in the last bits, and a row's bits
     still do not depend on the other rows.  history, when given, collects
     the first row's w^(0) .. w^(n), whose first i entries are v_1 .. v_i;
-    a run that keeps it is one block, so it holds the plain loop's bits."""
-    coeffs = np.array(np.asarray(w, dtype=float).T, order="C")  # row i holds coordinate i
+    a run that keeps it is one block, so it holds the plain loop's bits.
+
+    One row (m == 1) without a history is swept on Python floats
+    (_gptq_row), on sweep, lattice.row_sweep(l_inv) when not given; other
+    calls run the array loop.  A coefficient that leaves the float range
+    ends in IntegerOverflow, with no warning, on either path."""
+    w = np.asarray(w, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
+        coeffs = None
+        if w.shape[0] == 1 and history is None:
+            coeffs = _gptq_row(row_sweep(l_inv) if sweep is None else sweep, w[0] / alpha)
+        if coeffs is None:
+            coeffs = _gptq_array(l_inv, w, history, alpha)
+        return rows_to_int64(np.rint(coeffs)), coeffs
+
+
+def _gptq_array(l_inv: np.ndarray, w: np.ndarray, history: list[np.ndarray] | None,
+                alpha: float) -> np.ndarray:
+    """_gptq_rows' coefficients, one numpy step for all rows."""
+    coeffs = np.array(w.T, order="C")  # row i holds coordinate i
     coeffs /= alpha
     n = coeffs.shape[0]
     block = n if history is not None else SWEEP_BLOCK
@@ -342,9 +397,37 @@ def _gptq_rows(l_inv: np.ndarray, w: np.ndarray,
         if e < n:
             c = coeffs[s:e]
             coeffs[e:] += block_update((np.rint(c) - c) / l_inv_diag[s:e], l_inv_cols[s:e, e:])
-    del l_inv_cols, c  # c views the working array: both go before the rounding
-    coeffs = np.ascontiguousarray(coeffs.T)
-    return rows_to_int64(np.rint(coeffs)), coeffs
+    del l_inv_cols, c  # c views the working array: both go before the transposed copy
+    return np.ascontiguousarray(coeffs.T)
+
+
+def _gptq_row(sweep: RowSweep, w: np.ndarray) -> np.ndarray | None:
+    """_gptq_rows' coefficients for the one row w (already divided by
+    alpha), on Python floats.  Coefficient i takes the array loop's
+    additions of L^-1_ij f_j, f_j = (v_j - c_j) / L^-1_jj, j from the
+    start of its block up to i, in the same order: the same IEEE
+    operations, so the same bits (an integer v_j from round gives
+    v_j - c_j np.rint's bits, signed zeros included).  Past each block
+    block_update runs as in the array loop.  None where a coefficient
+    leaves the float range, for the array loop to report."""
+    c = w.tolist()
+    n = len(c)
+    out = []
+    try:
+        for s in range(0, n, SWEEP_BLOCK):
+            e = min(s + SWEEP_BLOCK, n)
+            f = []
+            for ci, row, d in zip(c[s:e], sweep.rows[s:e], sweep.diag[s:e]):
+                for a, b in zip(row, f):
+                    ci += a * b
+                out.append(ci)
+                f.append((round(ci) - ci) / d)
+            if e < n:
+                past = block_update(np.array(f)[:, None], sweep.cols[s:e, e:])
+                c[e:] = (np.array(c[e:]) + past[:, 0]).tolist()
+    except (OverflowError, ValueError, ZeroDivisionError):  # round(inf), round(nan), x / 0
+        return None
+    return np.array([out])
 
 
 def _recursive_rows(basis: np.ndarray, w: np.ndarray, variant: str):
@@ -566,6 +649,17 @@ def _row_products(a: np.ndarray, rows: np.ndarray, scale: float | None = None) -
     return out
 
 
+def _check_alpha(weights: np.ndarray, alpha: float) -> None:
+    """Refuse weights / alpha past the float range, with a ValueError that
+    names alpha.  Division is monotone, so it overflows at the largest |w|
+    if anywhere."""
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        w_peak = max(-weights.min(), weights.max()) / alpha
+    if not np.isfinite(w_peak):
+        raise ValueError(f"weights / alpha overflow at alpha = {alpha!r}; "
+                         "use a larger alpha")
+
+
 def _solve_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig,
                 t: np.ndarray | None = None):
     """quantize_matrix on the factored basis sb, aiming the rows at the
@@ -579,12 +673,7 @@ def _solve_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig,
     pulled-back coefficients for a target.  The kernels divide their own
     working arrays and the errors a row block at a time, so no scaled copy
     of the weights is held."""
-    # division is monotone, so weights / alpha overflows at the largest |w| if anywhere
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        w_peak = max(-weights.min(), weights.max()) / cfg.alpha
-    if not np.isfinite(w_peak):
-        raise ValueError(f"weights / alpha overflow at alpha = {cfg.alpha!r}; "
-                         "use a larger alpha")
+    _check_alpha(weights, cfg.alpha)
     w_rows, scale, p, w_pulled = weights, cfg.alpha, None, None
     if t is None and sb.u is not None:
         t = _row_products(sb.x_solver, weights)
@@ -672,23 +761,38 @@ def cross_layer_target(x, x_hat, w, cfg: QuantConfig = QuantConfig()) -> CrossLa
     compares the two before the clamp.  t is zero on the mu * I rows,
     which keeps the routes exactly equivalent for every mu >= 0.
     Consecutive calls on the same x_hat and mu share one factorization
-    (_cached_basis)."""
+    (_cached_basis), and its sweeps (SolverBasis.l_sweep, l_inv_sweep).
+
+    The call takes _solve_rows' steps for its one row itself, with the
+    same refusals and the same bits, but builds no MatrixQuantReport.  An
+    x_hat the memo holds is not validated again: its bits are those of
+    the memo's checked copy."""
     x = check_matrix(x, "x")
-    x_hat = check_matrix(x_hat, "x_hat")
+    sb = _memo_hit(x_hat, cfg.mu)
+    if sb is None:
+        x_hat = check_matrix(x_hat, "x_hat")
     if x.shape != x_hat.shape:
         raise ValueError(f"x and x_hat shapes differ: {x.shape} vs {x_hat.shape}")
     w = check_vector(w, x.shape[1], "w")
-    sb = _cached_basis(x_hat, cfg.mu)
-    t = x @ w
-    v, rep, (v_b,), (w_hat,) = _solve_rows(
-        sb, w[None, :], dataclasses.replace(cfg, algorithm="babai"), t[None, :])
-    (v_g,), (coeffs_g,) = _gptq_rows(sb.l_inv, w_hat[None, :])
-    fragile = sorted({j for _, j in rep.fragile} | set(fragile_indices(coeffs_g, cfg.tie_tol)))
-    result = _one_row(v, rep, cfg.alpha, fragile)
+    if sb is None:
+        sb = _cached_basis(x_hat, cfg.mu)
+    _check_alpha(w, cfg.alpha)
+    t = (x @ w)[None, :]
+    p, w_hat = _pull_back(sb, t, cfg.alpha)
+    (v_b,), (coeffs,) = nearest_plane_rows(sb.l, p, sb.l_sweep)
+    (v_g,), (coeffs_g,) = _gptq_rows(sb.l_inv, w_hat, sweep=sb.l_inv_sweep)
+    v = v_b if cfg.clamp is None else np.clip(v_b, *cfg.clamp)
+    err, err_reg = _row_errors(sb, v[None, :], cfg.alpha, None, t)
+    fragile = sorted(set(fragile_indices(coeffs, cfg.tie_tol))
+                     | set(fragile_indices(coeffs_g, cfg.tie_tol)))
+    result = QuantResult(v=v, values=cfg.alpha * v.astype(float), error_l2=float(err[0]),
+                         error_regularized=float(err_reg[0]), step_coeffs=coeffs,
+                         fragile=fragile)
+    w_hat = w_hat[0]
     projected = x_hat @ (cfg.alpha * w_hat)
     return CrossLayerResult(
         result=result, w_hat=w_hat, v_gptq_route=v_g,
         routes_agree=set(np.flatnonzero(v_b != v_g).tolist()) <= set(fragile),
-        off_span_residual=float(l2_norm(t - projected)),
+        off_span_residual=float(l2_norm(t[0] - projected)),
         projected_error=float(l2_norm(projected - x_hat @ result.values)),
     )

@@ -605,6 +605,18 @@ class TestOracle:
         assert main(["oracle", "--calib", calib, "--weights", weights]) == 2
         assert capsys.readouterr().err == "error: t contains non-finite entries\n"
 
+    def test_overflowing_coordinates_name_an_oracle_option(self, workdir, capsys):
+        # X = 1e-200 I puts the target's least-squares coordinates at 1e350;
+        # oracle takes no --alpha, so the advice names what it does take
+        calib = write(workdir / "X.csv", 1e-200 * np.eye(2))
+        target = write(workdir / "T.csv", [[1e150, 0.0]])
+        assert main(["oracle", "--calib", calib, "--target", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the target's coordinates on the lattice overflow the "
+                                "float range; scale the target down or pass a larger --mu\n")
+        assert main(["oracle", "--calib", calib, "--target", target, "--mu", "1"]) == 0
+
     def test_needs_target_or_weights(self, workdir):
         calib = write(workdir / "X.csv", np.eye(2))
         assert main(["oracle", "--calib", calib]) == 2

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -623,6 +624,45 @@ class TestCrossLayer:
         with pytest.raises(ValueError, match="shapes differ"):
             cross_layer_target(np.eye(2), np.eye(3), np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["x", "x_hat", "w"])
+    @pytest.mark.parametrize("after_hit", [False, True], ids=["fresh", "after_hit"])
+    def test_non_finite_input_is_refused_by_name(self, after_hit, name, bad, monkeypatch):
+        # a memo hit skips x_hat's check, so an x_hat of the memo's shape
+        # with one entry changed must miss and be checked
+        rng = np.random.default_rng(151)
+        x = rng.standard_normal((40, 6))
+        x_hat = x + 0.05 * rng.standard_normal(x.shape)
+        w = rng.uniform(-2.0, 2.0, 6)
+        cfg = QuantConfig(mu=0.3, alpha=0.5)
+        if after_hit:
+            calls = count_gram_factors(monkeypatch)
+            cross_layer_target(x, x_hat, w, cfg)
+            cross_layer_target(x, x_hat.copy(), w, cfg)
+            assert len(calls) == 1
+        memo = latquant.quantize._last_basis
+        args = {"x": x.copy(), "x_hat": x_hat.copy(), "w": w.copy()}
+        args[name].flat[3] = bad
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            cross_layer_target(args["x"], args["x_hat"], args["w"], cfg)
+        assert latquant.quantize._last_basis is memo
+
+    @pytest.mark.parametrize("x, w, alpha, error, match", [
+        (np.eye(3, 2), np.zeros(2), 1.0, ValueError, "shapes differ"),
+        (np.eye(2), np.ones(2), 1e-320, ValueError, "weights / alpha overflow"),
+        # x_hat = 1e-200 I puts w_hat at 1e350
+        (np.diag([1e150, 1.0]), np.array([1.0, 0.0]), 1.0, ValueError,
+         "the target's coordinates t / alpha overflow"),
+        (np.eye(2), np.array([1e-181, 0.0]), 1.0, IntegerOverflow, "int64"),
+    ], ids=["shape", "alpha", "pull_back", "int64"])
+    def test_refusals_hold_on_a_memo_hit(self, x, w, alpha, error, match, monkeypatch):
+        x_hat = 1e-200 * np.eye(2)
+        calls = count_gram_factors(monkeypatch)
+        cross_layer_target(x_hat, x_hat, np.zeros(2))
+        with pytest.raises(error, match=match):
+            cross_layer_target(x, x_hat.copy(), w, QuantConfig(alpha=alpha))
+        assert len(calls) == 1
+
     def test_clamp_applies_to_the_result_after_the_routes_are_compared(self):
         rng = np.random.default_rng(73)
         x = rng.uniform(-1.0, 1.0, (10, 4))
@@ -928,11 +968,13 @@ class TestBasisMemo:
         assert len(calls) == 2
 
     @pytest.mark.parametrize("call, names", [
-        (lambda x, w: cross_layer_target(x, x, w, QuantConfig(mu="auto")), ["x", "x_hat"]),
-        (lambda x, w: scaled_quantize(x, w, QuantConfig(mu="auto")), ["weights", "x"]),
+        (lambda x, w: cross_layer_target(x, x, w, QuantConfig(mu="auto")), ["x", "x_hat", "x"]),
+        (lambda x, w: scaled_quantize(x, w, QuantConfig(mu="auto")), ["weights", "x"] * 2),
     ])
     def test_each_matrix_is_validated_once_per_call(self, call, names, monkeypatch):
-        # a memo miss and a hit alike take one check_matrix pass per input
+        # two calls on the same x: each takes at most one check_matrix pass
+        # per input, and cross_layer_target's memo hit checks x alone, since
+        # x_hat's bits equal those of the memo's checked copy
         rng = np.random.default_rng(137)
         x = rng.standard_normal((30, 7))
         checked = []
@@ -944,7 +986,7 @@ class TestBasisMemo:
         monkeypatch.setattr(latquant.quantize, "check_matrix", counting)
         for w in rng.uniform(-3.0, 3.0, (2, 7)):
             call(x, w)
-        assert checked == names * 2
+        assert checked == names
 
     def test_gptq_quantize_keeps_nothing(self, monkeypatch):
         # no caller repeats x through gptq_quantize, so it factors every
@@ -1031,6 +1073,19 @@ def block_tie_lattice(seed: int, n: int):
     return l, l_inv
 
 
+def rows_in_calls(kernel, tri, rows, m):
+    """kernel(tri, .) on rows, m rows per call, stacked back."""
+    calls = [kernel(tri, rows[s : s + m]) for s in range(0, rows.shape[0], m)]
+    return tuple(np.vstack(part) for part in zip(*calls))
+
+
+# (seed, m) of the tie tests: every row in one call, keeping the ids the
+# seeds alone gave, then every row in its own call
+TIE_CASES = {count: [pytest.param(seed, 64, id=str(seed)) for seed in range(count)]
+             + [pytest.param(seed, 1, id=f"{seed}-m1") for seed in range(count)]
+             for count in (4, 6)}
+
+
 class TestSweepKernels:
     """The two row kernels against the np.outer sweeps they replaced: up
     to SWEEP_BLOCK columns the same float operations, so the same bits;
@@ -1047,17 +1102,18 @@ class TestSweepKernels:
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(bits(got[1]), bits(want[1]))
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_tie_heavy_integer_lattices(self, seed):
+    @pytest.mark.parametrize("seed, m", TIE_CASES[6])
+    def test_tie_heavy_integer_lattices(self, seed, m):
+        # m = 1 runs the 64 rows one call each: the one-row path on ties
         l, l_inv = tie_heavy_lattice(seed, 12)
         rng = np.random.default_rng(127 + seed)
         w = rng.integers(-16, 17, (64, 12)) / 2
         p = rng.integers(-16, 17, (64, 12)).astype(float)
-        got, want = _gptq_rows(l_inv, w), gptq_rows_outer(l_inv, w)
+        got, want = rows_in_calls(_gptq_rows, l_inv, w, m), gptq_rows_outer(l_inv, w)
         assert fragile_indices(want[1].ravel())  # ties do occur
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(bits(got[1]), bits(want[1]))
-        got, want = nearest_plane_rows(l, p), nearest_plane_outer(l, p)
+        got, want = rows_in_calls(nearest_plane_rows, l, p, m), nearest_plane_outer(l, p)
         assert fragile_indices(want[1].ravel())
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(bits(got[1]), bits(want[1]))
@@ -1081,8 +1137,8 @@ class TestSweepKernels:
             np.testing.assert_allclose(got[1], want[1], rtol=0,
                                        atol=1e-12 * np.max(np.abs(want[1])))
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_tie_heavy_lattices_past_one_block(self, seed):
+    @pytest.mark.parametrize("seed, m", TIE_CASES[4])
+    def test_tie_heavy_lattices_past_one_block(self, seed, m):
         # exact arithmetic: the block products change no bit, ties included
         n = SWEEP_BLOCK + 16
         l, l_inv = block_tie_lattice(seed, n)
@@ -1090,11 +1146,75 @@ class TestSweepKernels:
         rng = np.random.default_rng(139 + seed)
         w = rng.integers(-16, 17, (64, n)) / 2
         p = rng.integers(-16, 17, (64, n)).astype(float)
-        for got, want in ((_gptq_rows(l_inv, w), gptq_rows_outer(l_inv, w)),
-                          (nearest_plane_rows(l, p), nearest_plane_outer(l, p))):
+        for got, want in ((rows_in_calls(_gptq_rows, l_inv, w, m), gptq_rows_outer(l_inv, w)),
+                          (rows_in_calls(nearest_plane_rows, l, p, m),
+                           nearest_plane_outer(l, p))):
             assert fragile_indices(want[1][:, SWEEP_BLOCK:].ravel())  # ties past the block
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(bits(got[1]), bits(want[1]))
+
+    @pytest.mark.parametrize("n", [SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, 150])
+    def test_one_row_path_has_the_array_paths_bits(self, n):
+        # every row solved alone takes the one-row path, and the same rows
+        # in one call the array loop; their bits agree past a block as well
+        rng = np.random.default_rng(157 + n)
+        sb = solver_basis(rng.standard_normal((4 * n, n)), 0.2)
+        w = rng.uniform(-8.0, 8.0, (5, n))
+        p = w @ sb.l.T
+        for kernel, tri, rows, sweep in ((_gptq_rows, sb.l_inv, w, sb.l_inv_sweep),
+                                         (nearest_plane_rows, sb.l, p, sb.l_sweep)):
+            want = kernel(tri, rows)
+            for got in (rows_in_calls(kernel, tri, rows, 1),
+                        rows_in_calls(lambda a, r: kernel(a, r, sweep=sweep), tri, rows, 1)):
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(bits(got[1]), bits(want[1]))
+
+    def test_signed_zeros_keep_their_bits(self):
+        # rint(-0.3) is -0.0: taken from a -0.0 coordinate it leaves +0.0,
+        # where a +0.0 rounding would leave -0.0
+        tri = np.array([[1.0, 0.0], [1.0, 1.0]])
+        rows = np.array([[-0.3, -0.0], [-0.0, -0.0], [0.3, -0.0], [-0.0, 0.0]])
+        for kernel, outer in ((nearest_plane_rows, nearest_plane_outer),
+                              (_gptq_rows, gptq_rows_outer)):
+            want = outer(tri, rows)
+            for got in (kernel(tri, rows), rows_in_calls(kernel, tri, rows, 1)):
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(bits(got[1]), bits(want[1]))
+
+    @pytest.mark.parametrize("kernel, tri, row, value", [
+        # c_1 = 1e10 / 1e-300 overflows in the division
+        (nearest_plane_rows, [[1e-300, 0.0], [0.5, 1.0]], [1e10, 0.0], math.inf),
+        # the step -0.4 / 1e-310 overflows, and c_2 takes 0.5 times it
+        (_gptq_rows, [[1e-310, 0.0], [0.5, 1.0]], [0.4, 0.0], -math.inf),
+        # ... or 0 times it
+        (_gptq_rows, [[1e-310, 0.0], [0.0, 1.0]], [0.4, 0.0], math.nan),
+    ], ids=["nearest_plane", "gptq-inf", "gptq-nan"])
+    def test_overflow_mid_sweep_is_the_same_integer_overflow(self, kernel, tri, row, value):
+        # m = 1 runs the one-row path, m = 2 the array loop on the same row
+        # after a benign one: both raise IntegerOverflow with the same
+        # value, and neither warns
+        raised = []
+        for m in (1, 2):
+            rows = np.array([[0.0, 2.0]] * (m - 1) + [row])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(IntegerOverflow) as exc:
+                    kernel(np.array(tri), rows)
+            raised.append(exc.value.value)
+        np.testing.assert_array_equal(bits(raised[0]), bits(raised[1]))
+        np.testing.assert_array_equal(raised[0], value)
+
+    def test_babai_from_target_overflow_is_integer_overflow(self):
+        # babai_from_target's one row takes the one-row path; on L = 1e-300 I
+        # its first coefficient overflows as in the array loop, with no warning
+        basis = LatticeBasis(1e-300 * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegerOverflow) as exc:
+                babai_from_target(basis, [1e10, 0.0])
+            with pytest.raises(IntegerOverflow) as exc_rows:
+                nearest_plane_rows(basis.factors.l, np.array([[0.0, 0.0], [1e10, 0.0]]))
+        assert exc.value.value == exc_rows.value.value == math.inf
 
     def test_history_run_past_one_block(self, make_instance):
         # gptq_quantize keeps w_history, so it sweeps as one block: the

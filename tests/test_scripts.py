@@ -2,6 +2,7 @@
 a small size."""
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -21,6 +22,14 @@ def run_script(script, *args):
         [sys.executable, str(ROOT / "scripts" / script), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"),
+                                                  ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("script", ["run_equivalence_sweep.py", "run_lll_payoff.py"])
@@ -131,10 +140,7 @@ def test_stage_memory_prints_traced_peaks(tmp_path):
 
 
 def test_stage_memory_falls_back_without_proc(monkeypatch):
-    spec = importlib.util.spec_from_file_location("stage_memory",
-                                                  ROOT / "scripts" / "stage_memory.py")
-    stage_memory = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(stage_memory)
+    stage_memory = load_script("stage_memory.py")
 
     def no_proc(*args, **kwargs):
         raise FileNotFoundError("/proc/self/status")
@@ -142,3 +148,56 @@ def test_stage_memory_falls_back_without_proc(monkeypatch):
     monkeypatch.setattr(stage_memory, "open", no_proc, raising=False)
     peak, rss = stage_memory.memory_mb()
     assert peak > 0 and rss is None
+
+
+def run_py_output(workload, job_s, err_rel, correct=True, failed=0):
+    """The last two stdout lines of one perfbench/run.py run, with a line
+    of other output before them."""
+    result = {"correct": correct, "attempted": 40, "failed": failed,
+              "metrics": {"job_s_p50": {"value": job_s, "unit": "s"},
+                          "err_rel": {"value": err_rel, "unit": "ratio"}}}
+    return "\n".join(["absent from latquant: none",
+                      json.dumps({"workload": workload, "env": {"nproc": 2}}),
+                      json.dumps(result)])
+
+
+def test_bench_pairs_summary_on_canned_runs():
+    bench_pairs = load_script("bench_pairs.py")
+    better = {"job_s_p50": "lower", "err_rel": "lower"}
+    pairs = []
+    for i in range(10):
+        parent = bench_pairs.parse_results(run_py_output("chain-3", 0.50 + 0.01 * i, 0.176))
+        # the change wins nine pairs of ten; its third run fails a check
+        change = bench_pairs.parse_results(run_py_output(
+            "chain-3", 0.60 if i == 0 else 0.44 + 0.001 * i, 0.176, correct=i != 2))
+        pairs.append((parent["chain-3"], change["chain-3"]))
+    lines = bench_pairs.summarize(pairs, better)
+    assert lines[0] == "  change run 3: correct=False failed=0 of 40"
+    job = next(line for line in lines if "job_s_p50" in line)
+    # parent: 0.50 .. 0.59, median 0.545, quartiles 0.5225 and 0.5675
+    assert "parent 0.545 [0.5225, 0.5675]" in job
+    assert "wins 9/10" in job and "beyond parent IQR" in job
+    err = next(line for line in lines if "err_rel" in line)
+    assert "wins 0/10" in err and "gap +0 within parent IQR" in err
+
+
+def test_bench_pairs_alternates_which_side_runs_first(monkeypatch, capsys, tmp_path):
+    bench_pairs = load_script("bench_pairs.py")
+    order = []
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        order.append(checkout.name)
+        job_s = 0.5 if checkout.name == "parent" else 0.4
+        return bench_pairs.parse_results(run_py_output(workload, job_s, 0.1))
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "job_s_p50", "better": "lower"}]}))
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "chain-3", "--seed", "1", "--pairs", "3"]) == 0
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "chain-3:"
+    assert "wins 3/3" in out
