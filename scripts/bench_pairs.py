@@ -5,7 +5,9 @@ Runs `perfbench/run.py` from the root of PARENT and of CHANGE in turn,
 `--pairs` times: PARENT first on odd pairs, CHANGE first on even ones, so
 a drift of the machine's speed falls on both alike.  Each run is one
 `python3 perfbench/run.py --workload W --seed S --seconds T` in that
-checkout, which builds what it runs from the checkout's own sources.
+checkout, which builds what it runs from the checkout's own sources; T is
+the `run_seconds` of CHANGE's BENCHMARK.json, so every run is as long as
+the benchmark's own.
 
 For every workload and end-to-end metric it prints the median and the
 quartiles of each side, how many pairs CHANGE won (better in the
@@ -98,10 +100,10 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=36.0)
     args = ap.parse_args(argv)
     with open(args.change / "BENCHMARK.json", encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
     runs: list[tuple[dict, dict]] = []
     for n in range(1, args.pairs + 1):
@@ -109,7 +111,7 @@ def main(argv=None) -> int:
         got: list[dict] = [{}, {}]
         for side in order:
             checkout = (args.parent, args.change)[side]
-            got[side] = run_once(checkout, args.workload, args.seed, args.seconds)
+            got[side] = run_once(checkout, args.workload, args.seed, bench["run_seconds"])
         runs.append((got[0], got[1]))
         print(f"pair {n}/{args.pairs} done", file=sys.stderr, flush=True)
 

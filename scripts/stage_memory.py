@@ -93,7 +93,7 @@ def main(argv=None) -> int:
     report("factor", time.perf_counter() - start, traced_from)
 
     start, traced_from = begin(args.traced)
-    v, rep = quantize._solve_rows(sb, weights, cfg)[:2]
+    v, rep = quantize._solve_rows(sb, weights, cfg)
     report("solve", time.perf_counter() - start, traced_from)
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -150,16 +150,17 @@ class RowSweep(NamedTuple):
     cols: np.ndarray | None
 
 
-def row_sweep(tri: np.ndarray, block: int = SWEEP_BLOCK) -> RowSweep:
-    """The RowSweep of the lower-triangular tri, swept in blocks of block
-    columns.  Built once per factor and reused across one-row calls."""
+def row_sweep(tri: np.ndarray) -> RowSweep:
+    """The RowSweep of the lower-triangular tri, in the kernels' blocks of
+    SWEEP_BLOCK columns.  Built once per factor and reused across one-row
+    calls."""
     n = tri.shape[0]
     diag, rows = [], []
-    for s in range(0, n, block):
-        for i, row in enumerate(tri[s : s + block, s : s + block].tolist()):
+    for s in range(0, n, SWEEP_BLOCK):
+        for i, row in enumerate(tri[s : s + SWEEP_BLOCK, s : s + SWEEP_BLOCK].tolist()):
             diag.append(row[i])
             rows.append(row[:i])
-    return RowSweep(diag, rows, np.ascontiguousarray(tri.T) if n > block else None)
+    return RowSweep(diag, rows, np.ascontiguousarray(tri.T) if n > SWEEP_BLOCK else None)
 
 
 def nearest_plane_rows(l: np.ndarray, p: np.ndarray,

@@ -618,7 +618,7 @@ def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
     sb = _factor_basis(x, cfg.mu, reduce_delta)
     factored = time.perf_counter()
     t = None if x_target is None else _row_products(x_target, weights)
-    v, report = _solve_rows(sb, weights, cfg, t)[:2]
+    v, report = _solve_rows(sb, weights, cfg, t)
     report.timings_ms = {"factor": (factored - start) * 1e3,
                          "solve": (time.perf_counter() - factored) * 1e3}
     return v, report
@@ -660,19 +660,21 @@ def _check_alpha(weights: np.ndarray, alpha: float) -> None:
                          "use a larger alpha")
 
 
-def _solve_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig,
+def _sweep_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig, algorithm: str,
                 t: np.ndarray | None = None):
-    """quantize_matrix on the factored basis sb, aiming the rows at the
-    target rows t (None: in the span, X_solver w).  Also returns v before
-    the clamp and, for a target t, the rows' least-squares coefficients on
-    the basis the solver ran on (None in the span, where they are
-    weights / alpha).  Raises ValueError, before any sweep, where
-    weights / alpha overflow.
+    """Solve the rows of weights with algorithm on the factored basis sb,
+    aiming them at the target rows t (None: in the span, X_solver w), and
+    clamp them as cfg says.  Returns v after the clamp, v before it, the
+    coefficients, the rows' errors and regularized errors, and, for a
+    target t, the rows' least-squares coefficients on the basis the solver
+    ran on (None in the span, where they are weights / alpha).  Raises
+    ValueError, before any sweep, where weights / alpha overflow.
 
     The rows solved are w_rows / scale: weights / alpha in the span, the
     pulled-back coefficients for a target.  The kernels divide their own
     working arrays and the errors a row block at a time, so no scaled copy
-    of the weights is held."""
+    of the weights is held.  One row sweeps on sb's triangles as lists
+    (SolverBasis.l_sweep, l_inv_sweep), which a memo-held basis keeps."""
     _check_alpha(weights, cfg.alpha)
     w_rows, scale, p, w_pulled = weights, cfg.alpha, None, None
     if t is None and sb.u is not None:
@@ -680,20 +682,30 @@ def _solve_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig,
     if t is not None:
         p, w_pulled = _pull_back(sb, t, cfg.alpha)
         w_rows, scale = w_pulled, 1.0
-    if cfg.algorithm == "gptq":
-        v, coeffs = _gptq_rows(sb.l_inv, w_rows, alpha=scale)
-    elif cfg.algorithm == "babai":
+    one_row = w_rows.shape[0] == 1
+    if algorithm == "gptq":
+        v, coeffs = _gptq_rows(sb.l_inv, w_rows, alpha=scale,
+                               sweep=sb.l_inv_sweep if one_row else None)
+    elif algorithm == "babai":
         if p is None:
             p = _row_products(sb.l, w_rows, scale)
-        v, coeffs = nearest_plane_rows(sb.l, p)
+        v, coeffs = nearest_plane_rows(sb.l, p, sb.l_sweep if one_row else None)
     else:
-        v, coeffs = _recursive_rows(sb.basis, w_rows / scale, cfg.algorithm)
+        v, coeffs = _recursive_rows(sb.basis, w_rows / scale, algorithm)
     if sb.u is not None:
         v = map_solution(sb.u, v)
     v_out = v if cfg.clamp is None else np.clip(v, *cfg.clamp)
     # in the span: t / alpha - X_solver v_out = X_solver (w / alpha - v_out)
     row_err, row_err_reg = _row_errors(sb, v_out, cfg.alpha,
                                        weights if t is None else None, t)
+    return v_out, v, coeffs, row_err, row_err_reg, w_pulled
+
+
+def _solve_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig,
+                t: np.ndarray | None = None) -> tuple[np.ndarray, MatrixQuantReport]:
+    """quantize_matrix on the factored basis sb: _sweep_rows with
+    cfg.algorithm, and the run's report."""
+    v_out, _, coeffs, row_err, row_err_reg, _ = _sweep_rows(sb, weights, cfg, cfg.algorithm, t)
     n = sb.x.shape[1]
     report = MatrixQuantReport(
         row_errors=row_err,
@@ -707,7 +719,7 @@ def _solve_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig,
         route=sb.route,
         cond=sb.cond,
     )
-    return v_out, report, v, w_pulled
+    return v_out, report
 
 
 def compare_algorithms(weights, x, cfg: QuantConfig = QuantConfig()
@@ -721,14 +733,14 @@ def compare_algorithms(weights, x, cfg: QuantConfig = QuantConfig()
     differently from scaled_quantize's one-row product."""
     weights, x, _ = _check_layer(weights, x)
     sb = _factor_basis(x, cfg.mu)
-    runs = {a: _solve_rows(sb, weights, dataclasses.replace(cfg, algorithm=a))[:2]
+    runs = {a: _solve_rows(sb, weights, dataclasses.replace(cfg, algorithm=a))
             for a in ALGORITHMS}
     flagged = np.zeros(weights.shape, dtype=bool)
     for _, rep in runs.values():
         for r, j in rep.fragile:
             flagged[r, j] = True
     agree = np.all([(v == runs["gptq"][0]) | flagged for v, _ in runs.values()], axis=(0, 2))
-    v, rep = _solve_rows(sb, weights[-1:], dataclasses.replace(cfg, algorithm="gptq"))[:2]
+    v, rep = _solve_rows(sb, weights[-1:], dataclasses.replace(cfg, algorithm="gptq"))
     last = _one_row(v, rep, cfg.alpha, [j for _, j in rep.fragile])
     return runs, [np.flatnonzero(f).tolist() for f in flagged], agree.tolist(), last
 
@@ -763,8 +775,8 @@ def cross_layer_target(x, x_hat, w, cfg: QuantConfig = QuantConfig()) -> CrossLa
     Consecutive calls on the same x_hat and mu share one factorization
     (_cached_basis), and its sweeps (SolverBasis.l_sweep, l_inv_sweep).
 
-    The call takes _solve_rows' steps for its one row itself, with the
-    same refusals and the same bits, but builds no MatrixQuantReport.  An
+    The row takes quantize_matrix's steps (_sweep_rows), with the same
+    refusals and the same bits, but builds no MatrixQuantReport.  An
     x_hat the memo holds is not validated again: its bits are those of
     the memo's checked copy."""
     x = check_matrix(x, "x")
@@ -776,13 +788,9 @@ def cross_layer_target(x, x_hat, w, cfg: QuantConfig = QuantConfig()) -> CrossLa
     w = check_vector(w, x.shape[1], "w")
     if sb is None:
         sb = _cached_basis(x_hat, cfg.mu)
-    _check_alpha(w, cfg.alpha)
     t = (x @ w)[None, :]
-    p, w_hat = _pull_back(sb, t, cfg.alpha)
-    (v_b,), (coeffs,) = nearest_plane_rows(sb.l, p, sb.l_sweep)
+    (v,), (v_b,), (coeffs,), err, err_reg, w_hat = _sweep_rows(sb, w[None, :], cfg, "babai", t)
     (v_g,), (coeffs_g,) = _gptq_rows(sb.l_inv, w_hat, sweep=sb.l_inv_sweep)
-    v = v_b if cfg.clamp is None else np.clip(v_b, *cfg.clamp)
-    err, err_reg = _row_errors(sb, v[None, :], cfg.alpha, None, t)
     fragile = sorted(set(fragile_indices(coeffs, cfg.tie_tol))
                      | set(fragile_indices(coeffs_g, cfg.tie_tol)))
     result = QuantResult(v=v, values=cfg.alpha * v.astype(float), error_l2=float(err[0]),

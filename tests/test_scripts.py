@@ -186,6 +186,7 @@ def test_bench_pairs_alternates_which_side_runs_first(monkeypatch, capsys, tmp_p
     order = []
 
     def fake_run_once(checkout, workload, seed, seconds):
+        assert seconds == 36  # the benchmark's run length, not an option
         order.append(checkout.name)
         job_s = 0.5 if checkout.name == "parent" else 0.4
         return bench_pairs.parse_results(run_py_output(workload, job_s, 0.1))
@@ -194,7 +195,7 @@ def test_bench_pairs_alternates_which_side_runs_first(monkeypatch, capsys, tmp_p
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "job_s_p50", "better": "lower"}]}))
+        {"run_seconds": 36, "end_to_end": [{"name": "job_s_p50", "better": "lower"}]}))
     assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
                              "--workload", "chain-3", "--seed", "1", "--pairs", "3"]) == 0
     assert order == ["parent", "change", "change", "parent", "parent", "change"]
