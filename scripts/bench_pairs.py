@@ -11,9 +11,22 @@ the benchmark's own.
 
 For every workload and end-to-end metric it prints the median and the
 quartiles of each side, how many pairs CHANGE won (better in the
-direction CHANGE's BENCHMARK.json gives the metric), and whether the gap
-between the medians exceeds the interquartile range of PARENT's runs.
-Runs that report a failed check or failed jobs are named.
+direction CHANGE's BENCHMARK.json gives the metric; a tie counts for
+neither side), whether the gap between the medians exceeds the
+interquartile range of PARENT's runs, and two verdicts:
+
+  claim       yes when CHANGE won at least 9 pairs in 10 and the gap
+              between the medians exceeds PARENT's interquartile range:
+              what a claimed gain must show.
+  regression  worse when CHANGE's median is worse than PARENT's by more
+              than the metric's bound times PARENT's median; unresolved
+              when PARENT's interquartile range is wider than that margin
+              and not every CHANGE run beats every PARENT run; ok
+              otherwise.
+
+Runs that report a failed check or failed jobs are named.  The summary
+is also written to BENCH_<workload>-s<seed>.json in the working
+directory.
 
 Usage:
     python scripts/bench_pairs.py ../parent . --workload chain-3 --seed 1 --pairs 10
@@ -55,30 +68,68 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]:
-    """Lines of the comparison: pairs holds (parent, change) result
-    objects of one workload, better each metric's direction."""
-    lines = []
+def verdicts(parent: list[float], change: list[float], direction: str,
+             bound: float | None) -> dict:
+    """The comparison of one metric's runs: quartiles, wins, the gap
+    between the medians (positive where CHANGE is better), and the claim
+    and regression verdicts (regression None without a bound)."""
+    sign = 1.0 if direction == "lower" else -1.0
+    wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
+    p1, pm, p3 = quartiles(parent)
+    c1, cm, c3 = quartiles(change)
+    gap = sign * (pm - cm)
+    regression = None
+    if bound is not None:
+        margin = bound * abs(pm)
+        every = all(sign * (a - b) > 0 for a in parent for b in change)
+        if -gap > margin:
+            regression = "worse"
+        elif p3 - p1 > margin and not every:
+            regression = "unresolved"
+        else:
+            regression = "ok"
+    return {"parent": {"values": parent, "q1": p1, "median": pm, "q3": p3},
+            "change": {"values": change, "q1": c1, "median": cm, "q3": c3},
+            "wins": wins, "pairs": len(parent), "gap": gap,
+            "beyond_parent_iqr": abs(gap) > p3 - p1,
+            "claim": 10 * wins >= 9 * len(parent) and gap > p3 - p1,
+            "regression": regression}
+
+
+def compare(pairs: list[tuple[dict, dict]], better: dict[str, str],
+            bounds: dict[str, float] | None = None) -> tuple[list[str], dict]:
+    """The failed runs, named, and each metric's verdicts: pairs holds
+    (parent, change) result objects of one workload, better each metric's
+    direction and bounds its regression bound."""
+    failed = []
     for side, idx in (("parent", 0), ("change", 1)):
         for n, pair in enumerate(pairs, 1):
             doc = pair[idx]
             if not doc.get("correct", False) or doc.get("failed", 0):
-                lines.append(f"  {side} run {n}: correct={doc.get('correct')} "
-                             f"failed={doc.get('failed')} of {doc.get('attempted')}")
+                failed.append(f"{side} run {n}: correct={doc.get('correct')} "
+                              f"failed={doc.get('failed')} of {doc.get('attempted')}")
+    metrics = {}
     for name, direction in better.items():
-        if not all(name in p["metrics"] and name in c["metrics"] for p, c in pairs):
-            continue
-        parent = [p["metrics"][name]["value"] for p, _ in pairs]
-        change = [c["metrics"][name]["value"] for _, c in pairs]
-        sign = 1.0 if direction == "lower" else -1.0
-        wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
-        p1, pm, p3 = quartiles(parent)
-        c1, cm, c3 = quartiles(change)
-        gap = sign * (pm - cm)
-        verdict = "beyond" if abs(gap) > p3 - p1 else "within"
-        lines.append(f"  {name:<12} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  "
-                     f"change {cm:.4g} [{c1:.4g}, {c3:.4g}]  "
-                     f"wins {wins}/{len(pairs)}  gap {gap:+.4g} {verdict} parent IQR")
+        if all(name in p["metrics"] and name in c["metrics"] for p, c in pairs):
+            metrics[name] = verdicts([p["metrics"][name]["value"] for p, _ in pairs],
+                                     [c["metrics"][name]["value"] for _, c in pairs],
+                                     direction, (bounds or {}).get(name))
+    return failed, metrics
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> list[str]:
+    """Lines of the comparison (see compare)."""
+    failed, metrics = compare(pairs, better, bounds)
+    lines = [f"  {line}" for line in failed]
+    for name, m in metrics.items():
+        p, c = m["parent"], m["change"]
+        within = "beyond" if m["beyond_parent_iqr"] else "within"
+        lines.append(f"  {name:<12} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
+                     f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
+                     f"wins {m['wins']}/{m['pairs']}  gap {m['gap']:+.4g} {within} parent IQR  "
+                     f"claim {'yes' if m['claim'] else 'no'}  "
+                     f"regression {m['regression'] or 'n/a'}")
     return lines
 
 
@@ -104,6 +155,7 @@ def main(argv=None) -> int:
     with open(args.change / "BENCHMARK.json", encoding="utf-8") as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
 
     runs: list[tuple[dict, dict]] = []
     for n in range(1, args.pairs + 1):
@@ -118,7 +170,12 @@ def main(argv=None) -> int:
     for workload in runs[0][0]:
         print(f"{workload}:")
         pairs = [(p[workload], c[workload]) for p, c in runs]
-        print("\n".join(summarize(pairs, better)))
+        print("\n".join(summarize(pairs, better, bounds)))
+        failed, metrics = compare(pairs, better, bounds)
+        summary = {"workload": workload, "seed": args.seed, "pairs": len(pairs),
+                   "failed_runs": failed, "metrics": metrics}
+        with open(f"BENCH_{workload}-s{args.seed}.json", "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=1)
     return 0
 
 

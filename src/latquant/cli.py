@@ -289,7 +289,7 @@ def _cmd_oracle(args) -> int:
         bound_abs_paper=abs_bound.paper, bound_abs_halfstep=abs_bound.half_step,
         gamma_bound=gamma.gamma,
         step_coeffs=coeffs.tolist(),
-        fragile_count=len(fragile_indices(coeffs, cfg.tie_tol)),
+        fragile_count=len(fragile_indices(coeffs)),
         wall_time_ms=wall_ms,
         v=v.tolist(),
         oracle_error=exact_error,

@@ -67,15 +67,19 @@ def round_half_even(x: float) -> int:
     return int(np.rint(x))
 
 
-def fragile_indices(coeffs: np.ndarray, tie_tol: float = DEFAULT_TIE_TOL) -> list[int]:
-    """Indices whose pre-rounding coefficient sits within tie_tol of a
-    half-integer, where last-ulp float differences can flip the result.
-    |coeffs - floor(coeffs) - 0.5| is formed in one temporary."""
+def fragile_indices(coeffs: np.ndarray) -> list[int]:
+    """Indices whose pre-rounding coefficient sits within DEFAULT_TIE_TOL of a
+    half-integer, where last-ulp float differences can flip the result."""
+    return np.flatnonzero(_fragile_mask(coeffs)).tolist()
+
+
+def _fragile_mask(coeffs: np.ndarray) -> np.ndarray:
+    """fragile_indices as a mask; |coeffs - floor(coeffs) - 0.5| is one temporary."""
     frac = np.floor(coeffs)
     np.subtract(coeffs, frac, out=frac)
     frac -= 0.5
     np.abs(frac, out=frac)
-    return [int(i) for i in np.flatnonzero(frac < tie_tol)]
+    return frac < DEFAULT_TIE_TOL
 
 
 class LatticeBasis:
@@ -240,15 +244,13 @@ def _nearest_plane_row(sweep: RowSweep, p: np.ndarray) -> np.ndarray | None:
     return np.array([out])
 
 
-def babai_nearest_plane(basis: LatticeBasis, w,
-                        tie_tol: float = DEFAULT_TIE_TOL) -> CvpSolution:
+def babai_nearest_plane(basis: LatticeBasis, w) -> CvpSolution:
     """Greedy closest-vector approximation for the target basis @ w."""
     w = check_vector(w, basis.n, "w")
-    return babai_from_target(basis, basis.basis @ w, tie_tol=tie_tol)
+    return babai_from_target(basis, basis.basis @ w)
 
 
-def babai_from_target(basis: LatticeBasis, t,
-                      tie_tol: float = DEFAULT_TIE_TOL) -> CvpSolution:
+def babai_from_target(basis: LatticeBasis, t) -> CvpSolution:
     """Same sweep started from a raw target point.
 
     t need not lie in the column span of the basis; any off-span component
@@ -262,7 +264,7 @@ def babai_from_target(basis: LatticeBasis, t,
         residual=residual,
         error_l2=float(l2_norm(residual)),
         step_coeffs=coeffs,
-        fragile=fragile_indices(coeffs, tie_tol),
+        fragile=fragile_indices(coeffs),
     )
 
 

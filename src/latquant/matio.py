@@ -64,16 +64,12 @@ class RaggedRows(ValueError):
         super().__init__(f"line {line} has a different number of fields")
 
 
-def parse_matrix_csv(text: bytes | str, expect_header: bool = False) -> np.ndarray:
-    """Parse CSV text into a 2-D float64 matrix.
-
-    Line and field positions in errors are 1-based, counting the header
-    line when present.  Non-finite values are rejected.
-    """
+def parse_matrix_csv(text: bytes | str) -> np.ndarray:
+    """Parse CSV text into a 2-D float64 matrix, refusing non-finite
+    values.  Line and field positions in errors are 1-based."""
     data = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
-    start = 1 if expect_header else 0
-    nrows = _count_lines(io.BytesIO(data)) - start
-    out = _parse_bulk(_chunks(io.BytesIO(data), expect_header), nrows)
+    nrows = _count_lines(io.BytesIO(data))
+    out = _parse_bulk(_chunks(io.BytesIO(data)), nrows)
     if out is not None:
         return out
     if isinstance(text, bytes):
@@ -86,9 +82,9 @@ def parse_matrix_csv(text: bytes | str, expect_header: bool = False) -> np.ndarr
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    if len(lines) <= start:
+    if not lines:
         raise ParseError(1, 1, "", "empty input")
-    return _parse_fields(lines[start:], start + 1)
+    return _parse_fields(lines, 1)
 
 
 def _parse_bulk(chunks: Iterator[bytes], nrows: int) -> np.ndarray | None:
@@ -268,16 +264,16 @@ def serialize_matrix_csv(matrix: np.ndarray) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
 
-def load_matrix_csv(path, expect_header: bool = False) -> np.ndarray:
+def load_matrix_csv(path) -> np.ndarray:
     """parse_matrix_csv of the file's bytes, streamed CHUNK_BYTES at a
     time; where the bulk parse fails, the file is parsed again whole for
     the exact error."""
     path = Path(path)
     with path.open("rb") as f:
-        nrows = _count_lines(f) - (1 if expect_header else 0)
+        nrows = _count_lines(f)
         f.seek(0)
-        out = _parse_bulk(_chunks(f, expect_header), nrows)
-    return out if out is not None else parse_matrix_csv(path.read_bytes(), expect_header)
+        out = _parse_bulk(_chunks(f), nrows)
+    return out if out is not None else parse_matrix_csv(path.read_bytes())
 
 
 def _count_lines(f: BinaryIO) -> int:
@@ -290,28 +286,20 @@ def _count_lines(f: BinaryIO) -> int:
     return count + (last != b"\n")
 
 
-def _chunks(f: BinaryIO, header: bool) -> Iterator[bytes]:
-    """The lines of f past its header line, if any, read CHUNK_BYTES at a
-    time.  A chunk's complete lines go together and its partial last line
-    goes ahead of the next chunk; only the file's last line may lack its
-    newline.  A header that is not UTF-8 raises UnicodeDecodeError, as it
-    would in the whole text."""
+def _chunks(f: BinaryIO) -> Iterator[bytes]:
+    """The lines of f, read CHUNK_BYTES at a time.  A chunk's complete
+    lines go together and its partial last line goes ahead of the next
+    chunk; only the file's last line may lack its newline."""
     carry = b""
     while piece := f.read(CHUNK_BYTES):
         buf = carry + piece
         del piece
         cut = buf.rfind(b"\n") + 1
-        if header and cut:
-            skip = buf.find(b"\n") + 1
-            buf[:skip].decode("utf-8")
-            buf, cut, header = buf[skip:], cut - skip, False
         chunk, carry = buf[:cut], buf[cut:]
         del buf
         if chunk:
             yield chunk
-    if header:
-        carry.decode("utf-8")
-    elif carry:
+    if carry:
         yield carry
 
 

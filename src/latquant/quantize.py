@@ -22,15 +22,15 @@ L once, and runs one O(m n^2) sweep over the columns for all m rows.
 The sweep is blocked (GPTQ's lazy batch updates): within a block of
 SWEEP_BLOCK columns each step updates the rest of the block, and after
 the block the columns past it take all of its steps in one vector-matrix
-product per row.  The single-row functions run the same kernels on one
-row, and compare_algorithms runs all four over a layer's rows on one
-factorization.  A call with one row (m == 1) takes the kernels' one-row
-path: the steps inside a block run on Python floats, with the bits of
-the array loop (see lattice.py).  cross_layer_target, the one-row
-cross-layer call, alone keeps the last lattice it factored
-(_cached_basis), and the factor's triangles as that path reads them,
-while x_hat and mu stay the same, so a layer quantized row by row
-factors once and converts its triangles once.
+product per row.  With a cross-layer target it also runs the other route
+on every row, the check that GPTQ is Babai's nearest plane.  The
+single-row functions are its one-row calls (cross_layer_target the
+cross-layer one, on the nearest-plane sweep), and compare_algorithms
+runs all four over a layer's rows on one factorization.  One row
+(m == 1) takes the kernels' one-row path on Python floats, with the bits
+of the array loop (see lattice.py).  For callers that quantize a layer
+row by row, cross_layer_target keeps the last lattice it factored and
+its triangles as lists (_cached_basis) while x_hat and mu stay the same.
 
 Rank-deficient calibration data (in particular k < n) is handled by
 stacking mu * I under X, which adds mu^2 to every eigenvalue of X^T X;
@@ -53,9 +53,9 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import (
-    DEFAULT_TIE_TOL,
     SWEEP_BLOCK,
     RowSweep,
+    _fragile_mask,
     block_update,
     fragile_indices,
     nearest_plane_rows,
@@ -90,9 +90,6 @@ class QuantConfig:
     mu:        regularizer (mu = sqrt(lambda)); 0 disables, "auto" picks
                sqrt(0.01 * mean diag of X^T X).
     alpha:     alphabet scale; quantized values live on alpha * Z.
-    tie_tol:   half-integer proximity below which a coefficient is flagged
-               fragile (rounding may legitimately differ between float
-               paths).
     clamp:     optional inclusive integer interval applied to v after the
                full sequential run.
     algorithm: one of gptq | gptq_rec | babai | babai_proj_rec.
@@ -102,7 +99,6 @@ class QuantConfig:
 
     mu: float | str = 0.0
     alpha: float = 1.0
-    tie_tol: float = DEFAULT_TIE_TOL
     clamp: tuple[int, int] | None = None
     algorithm: str = "gptq"
 
@@ -113,8 +109,6 @@ class QuantConfig:
                 raise ValueError(f"mu must be finite and >= 0 or 'auto', got {self.mu!r}")
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
-        if not self.tie_tol >= 0:
-            raise ValueError("tie_tol must be >= 0")
         if self.clamp is not None:
             lo, hi = self.clamp
             if lo > hi:
@@ -535,7 +529,7 @@ def gptq_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
         error_l2=float(err[0]),
         error_regularized=float(err_reg[0]),
         step_coeffs=coeffs[0],
-        fragile=fragile_indices(coeffs[0], cfg.tie_tol),
+        fragile=fragile_indices(coeffs[0]),
         w_history=history,
     )
 
@@ -562,16 +556,15 @@ def scaled_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
     values = alpha * v; the error is ||X w - alpha X v||.  When clamp is
     set, v is clipped coordinatewise after the sequential run and the
     errors are recomputed for the clipped vector."""
-    v, rep = quantize_matrix(check_vector(w, name="w")[None, :], x, cfg)
-    return _one_row(v, rep, cfg.alpha, [j for _, j in rep.fragile])
+    return _one_row(*quantize_matrix(check_vector(w, name="w")[None, :], x, cfg), cfg.alpha)
 
 
-def _one_row(v, rep, alpha: float, fragile: list[int]) -> QuantResult:
+def _one_row(v, rep, alpha: float) -> QuantResult:
     """The QuantResult of a one-row run."""
     return QuantResult(v=v[0], values=alpha * v[0].astype(float),
                        error_l2=float(rep.row_errors[0]),
                        error_regularized=float(rep.row_errors_regularized[0]),
-                       step_coeffs=rep.step_coeffs[0], fragile=fragile)
+                       step_coeffs=rep.step_coeffs[0], fragile=[j for _, j in rep.fragile])
 
 
 @dataclass(eq=False)
@@ -581,7 +574,15 @@ class MatrixQuantReport:
     route and cond are the factorization's (see SolverBasis).
     timings_ms holds quantize_matrix's wall times in milliseconds:
     "factor" (validation, regularization, any reduction and the
-    factorization) and "solve" (the sweep and the errors)."""
+    factorization) and "solve" (the sweeps and the errors).
+
+    With x_target, the check that GPTQ is Babai's nearest plane, per row
+    (all None without): w_hat, t / alpha pulled back to least-squares
+    coefficients in V's coordinates; v_second_route, the other route's v
+    before any clamp (GPTQ on w_hat after nearest plane, else nearest
+    plane); routes_agree, whether the two v are equal off the coordinates
+    either flags fragile; off_span_residual ||t - alpha x w_hat||, which no
+    lattice vector can reach, and projected_error ||alpha x (w_hat - v)||."""
 
     row_errors: np.ndarray
     row_errors_regularized: np.ndarray
@@ -594,6 +595,11 @@ class MatrixQuantReport:
     route: str
     cond: float
     timings_ms: dict[str, float] = field(default_factory=dict)
+    w_hat: np.ndarray | None = None
+    v_second_route: np.ndarray | None = None
+    routes_agree: np.ndarray | None = None
+    off_span_residual: np.ndarray | None = None
+    projected_error: np.ndarray | None = None
 
 
 def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
@@ -612,13 +618,14 @@ def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
     w = L^-1 p, which the parameter-space loop reads; otherwise the
     coefficients are w / alpha.  row_errors are alpha ||t/alpha - X v||
     (for an in-span target alpha ||X (w/alpha - v)||), the regularized
-    ones take X_solver, and each total is the root of the rows' squares."""
+    ones take X_solver, and each total is the root of the rows' squares.
+    With x_target the run also takes the second route on every row, and
+    the report carries its check; cross_layer_target is its one-row call."""
     start = time.perf_counter()
     weights, x, x_target = _check_layer(weights, x, x_target)
     sb = _factor_basis(x, cfg.mu, reduce_delta)
     factored = time.perf_counter()
-    t = None if x_target is None else _row_products(x_target, weights)
-    v, report = _solve_rows(sb, weights, cfg, t)
+    v, report = _solve_rows(sb, weights, cfg, x_target)
     report.timings_ms = {"factor": (factored - start) * 1e3,
                          "solve": (time.perf_counter() - factored) * 1e3}
     return v, report
@@ -660,65 +667,89 @@ def _check_alpha(weights: np.ndarray, alpha: float) -> None:
                          "use a larger alpha")
 
 
-def _sweep_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig, algorithm: str,
-                t: np.ndarray | None = None):
-    """Solve the rows of weights with algorithm on the factored basis sb,
-    aiming them at the target rows t (None: in the span, X_solver w), and
-    clamp them as cfg says.  Returns v after the clamp, v before it, the
-    coefficients, the rows' errors and regularized errors, and, for a
-    target t, the rows' least-squares coefficients on the basis the solver
-    ran on (None in the span, where they are weights / alpha).  Raises
-    ValueError, before any sweep, where weights / alpha overflow.
+def _route(sb: SolverBasis, algorithm: str, w_rows: np.ndarray, scale: float,
+           p: np.ndarray | None):
+    """v and the coefficients of algorithm on the rows w_rows / scale (or
+    p, the rows' L^-T B^T t / alpha, for nearest plane) on sb's basis.
+    One row sweeps on sb's triangles as lists, which the memo keeps."""
+    one_row = w_rows.shape[0] == 1
+    if algorithm == "gptq":
+        return _gptq_rows(sb.l_inv, w_rows, alpha=scale,
+                          sweep=sb.l_inv_sweep if one_row else None)
+    if algorithm == "babai":
+        if p is None:
+            p = _row_products(sb.l, w_rows, scale)
+        return nearest_plane_rows(sb.l, p, sb.l_sweep if one_row else None)
+    return _recursive_rows(sb.basis, w_rows / scale, algorithm)
 
-    The rows solved are w_rows / scale: weights / alpha in the span, the
-    pulled-back coefficients for a target.  The kernels divide their own
-    working arrays and the errors a row block at a time, so no scaled copy
-    of the weights is held.  One row sweeps on sb's triangles as lists
-    (SolverBasis.l_sweep, l_inv_sweep), which a memo-held basis keeps."""
+
+def _sweep_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig, algorithm: str,
+                x_target: np.ndarray | None = None):
+    """Solve the rows of weights with algorithm on the factored basis sb,
+    aiming at X_solver w, or at t = x_target @ w, and clamp them as cfg
+    says.  Returns v after the clamp, the coefficients, the errors and
+    regularized errors, and with x_target the route check: the report's
+    five fields as a dict and the mask of the coordinates either route
+    flags (None, None without).  Raises ValueError, before any sweep,
+    where weights / alpha overflow.  The rows solved are w_rows / scale:
+    weights / alpha, or a target's pulled-back coefficients; no scaled
+    copy of the weights is held, and the second route runs after the
+    errors' row blocks are freed."""
     _check_alpha(weights, cfg.alpha)
-    w_rows, scale, p, w_pulled = weights, cfg.alpha, None, None
+    w_rows, scale, p = weights, cfg.alpha, None
+    t = None if x_target is None else _row_products(x_target, weights)
     if t is None and sb.u is not None:
         t = _row_products(sb.x_solver, weights)
     if t is not None:
-        p, w_pulled = _pull_back(sb, t, cfg.alpha)
-        w_rows, scale = w_pulled, 1.0
-    one_row = w_rows.shape[0] == 1
-    if algorithm == "gptq":
-        v, coeffs = _gptq_rows(sb.l_inv, w_rows, alpha=scale,
-                               sweep=sb.l_inv_sweep if one_row else None)
-    elif algorithm == "babai":
-        if p is None:
-            p = _row_products(sb.l, w_rows, scale)
-        v, coeffs = nearest_plane_rows(sb.l, p, sb.l_sweep if one_row else None)
-    else:
-        v, coeffs = _recursive_rows(sb.basis, w_rows / scale, algorithm)
-    if sb.u is not None:
-        v = map_solution(sb.u, v)
-    v_out = v if cfg.clamp is None else np.clip(v, *cfg.clamp)
+        p, w_rows = _pull_back(sb, t, cfg.alpha)
+        scale = 1.0
+    v, coeffs = _route(sb, algorithm, w_rows, scale, p)
+    v_out = v if sb.u is None else map_solution(sb.u, v)
+    v_out = v_out if cfg.clamp is None else np.clip(v_out, *cfg.clamp)
     # in the span: t / alpha - X_solver v_out = X_solver (w / alpha - v_out)
     row_err, row_err_reg = _row_errors(sb, v_out, cfg.alpha,
                                        weights if t is None else None, t)
-    return v_out, v, coeffs, row_err, row_err_reg, w_pulled
+    if x_target is None:
+        return v_out, coeffs, row_err, row_err_reg, None, None
+    # GPTQ = Babai: the other route on the same rows, compared before the map and clamp
+    v_2, coeffs_2 = _route(sb, "gptq" if algorithm == "babai" else "babai", w_rows, 1.0, p)
+    agree, flagged = _agreement([v, v_2], [coeffs, coeffs_2])
+    if sb.u is not None:
+        v_2 = map_solution(sb.u, v_2)
+        w_rows = w_rows @ sb.u.astype(float).T
+    off_span, projected = np.empty(v.shape[0]), np.empty(v.shape[0])
+    for r, (t_r, w_r, v_r) in enumerate(zip(t, w_rows, v_out)):
+        x_w = sb.x @ (cfg.alpha * w_r)
+        off_span[r] = l2_norm(t_r - x_w)
+        projected[r] = l2_norm(x_w - sb.x @ (cfg.alpha * v_r))
+    check = {"w_hat": w_rows, "v_second_route": v_2, "routes_agree": agree,
+             "off_span_residual": off_span, "projected_error": projected}
+    return v_out, coeffs, row_err, row_err_reg, check, flagged
+
+
+def _agreement(vs: list[np.ndarray], coeffs: list[np.ndarray]):
+    """Whether runs agree, row by row: their v (m x n each) are equal off
+    the coordinates any run flags fragile, from its coefficients.  Returns
+    that per row and the m x n mask of the flagged coordinates."""
+    flagged = np.logical_or.reduce([_fragile_mask(c) for c in coeffs])
+    agree = np.logical_and.reduce([(v == vs[0]) | flagged for v in vs[1:]]).all(axis=1)
+    return agree, flagged
 
 
 def _solve_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig,
-                t: np.ndarray | None = None) -> tuple[np.ndarray, MatrixQuantReport]:
+                x_target: np.ndarray | None = None) -> tuple[np.ndarray, MatrixQuantReport]:
     """quantize_matrix on the factored basis sb: _sweep_rows with
     cfg.algorithm, and the run's report."""
-    v_out, _, coeffs, row_err, row_err_reg, _ = _sweep_rows(sb, weights, cfg, cfg.algorithm, t)
+    v_out, coeffs, row_err, row_err_reg, check, _ = _sweep_rows(sb, weights, cfg,
+                                                                cfg.algorithm, x_target)
     n = sb.x.shape[1]
     report = MatrixQuantReport(
-        row_errors=row_err,
-        row_errors_regularized=row_err_reg,
+        row_errors=row_err, row_errors_regularized=row_err_reg,
         total_error_l2=float(l2_norm(row_err)),
         total_error_regularized=float(l2_norm(row_err_reg)),
-        fragile=[divmod(j, n) for j in fragile_indices(coeffs.ravel(), cfg.tie_tol)],
-        step_coeffs=coeffs,
-        mu=sb.mu,
-        l_diag=np.diag(sb.l).copy(),
-        route=sb.route,
-        cond=sb.cond,
-    )
+        fragile=[divmod(j, n) for j in fragile_indices(coeffs.ravel())],
+        step_coeffs=coeffs, mu=sb.mu, l_diag=np.diag(sb.l).copy(), route=sb.route,
+        cond=sb.cond, **(check or {}))
     return v_out, report
 
 
@@ -735,13 +766,10 @@ def compare_algorithms(weights, x, cfg: QuantConfig = QuantConfig()
     sb = _factor_basis(x, cfg.mu)
     runs = {a: _solve_rows(sb, weights, dataclasses.replace(cfg, algorithm=a))
             for a in ALGORITHMS}
-    flagged = np.zeros(weights.shape, dtype=bool)
-    for _, rep in runs.values():
-        for r, j in rep.fragile:
-            flagged[r, j] = True
-    agree = np.all([(v == runs["gptq"][0]) | flagged for v, _ in runs.values()], axis=(0, 2))
-    v, rep = _solve_rows(sb, weights[-1:], dataclasses.replace(cfg, algorithm="gptq"))
-    last = _one_row(v, rep, cfg.alpha, [j for _, j in rep.fragile])
+    agree, flagged = _agreement([v for v, _ in runs.values()],
+                                [rep.step_coeffs for _, rep in runs.values()])
+    last = _one_row(*_solve_rows(sb, weights[-1:], dataclasses.replace(cfg, algorithm="gptq")),
+                    cfg.alpha)
     return runs, [np.flatnonzero(f).tolist() for f in flagged], agree.tolist(), last
 
 
@@ -750,10 +778,9 @@ class CrossLayerResult:
     """Both solution routes for a cross-layer target, plus diagnostics.
 
     result is the nearest-plane solve; v_gptq_route is the parameter-space
-    loop's answer for w_hat, the target's least-squares pull-back.  They
-    agree on every non-fragile coordinate.  off_span_residual is
-    ||X w - alpha X_hat w_hat||, the part no lattice vector can reach, and
-    projected_error the solve's error against the projected target."""
+    loop's answer for w_hat, the target's least-squares pull-back; they
+    agree on every non-fragile coordinate.  off_span_residual and
+    projected_error are MatrixQuantReport's, for the row."""
 
     result: QuantResult
     w_hat: np.ndarray
@@ -766,19 +793,14 @@ class CrossLayerResult:
 def cross_layer_target(x, x_hat, w, cfg: QuantConfig = QuantConfig()) -> CrossLayerResult:
     """Quantize one row against the lattice of x_hat while aiming at
     t = x @ w: quantize_matrix(w[None, :], x_hat, cfg, x_target=x) with the
-    nearest-plane sweep, whatever cfg.algorithm says.
-
-    On the same factorization it also runs the other route, the
-    parameter-space loop on the least-squares pull-back w_hat, and
-    compares the two before the clamp.  t is zero on the mu * I rows,
-    which keeps the routes exactly equivalent for every mu >= 0.
-    Consecutive calls on the same x_hat and mu share one factorization
-    (_cached_basis), and its sweeps (SolverBasis.l_sweep, l_inv_sweep).
-
-    The row takes quantize_matrix's steps (_sweep_rows), with the same
-    refusals and the same bits, but builds no MatrixQuantReport.  An
-    x_hat the memo holds is not validated again: its bits are those of
-    the memo's checked copy."""
+    nearest-plane sweep, whatever cfg.algorithm says, and its route check
+    for the row; result.fragile lists the coordinates either route flags.
+    t is zero on the mu * I rows, which keeps the routes exactly
+    equivalent for every mu >= 0.  The row takes the matrix solve's steps
+    (_sweep_rows), refusals and bits, but builds no MatrixQuantReport.
+    Consecutive calls on the same x_hat and mu share one factorization and
+    its sweeps (_cached_basis); an x_hat the memo holds is not validated
+    again, since its bits are those of the memo's checked copy."""
     x = check_matrix(x, "x")
     sb = _memo_hit(x_hat, cfg.mu)
     if sb is None:
@@ -788,19 +810,10 @@ def cross_layer_target(x, x_hat, w, cfg: QuantConfig = QuantConfig()) -> CrossLa
     w = check_vector(w, x.shape[1], "w")
     if sb is None:
         sb = _cached_basis(x_hat, cfg.mu)
-    t = (x @ w)[None, :]
-    (v,), (v_b,), (coeffs,), err, err_reg, w_hat = _sweep_rows(sb, w[None, :], cfg, "babai", t)
-    (v_g,), (coeffs_g,) = _gptq_rows(sb.l_inv, w_hat, sweep=sb.l_inv_sweep)
-    fragile = sorted(set(fragile_indices(coeffs, cfg.tie_tol))
-                     | set(fragile_indices(coeffs_g, cfg.tie_tol)))
+    (v,), (coeffs,), err, err_reg, check, (flagged,) = _sweep_rows(sb, w[None, :], cfg,
+                                                                   "babai", x)
+    w_hat, v_gptq, agree, off_span, projected = (a[0] for a in check.values())
     result = QuantResult(v=v, values=cfg.alpha * v.astype(float), error_l2=float(err[0]),
                          error_regularized=float(err_reg[0]), step_coeffs=coeffs,
-                         fragile=fragile)
-    w_hat = w_hat[0]
-    projected = x_hat @ (cfg.alpha * w_hat)
-    return CrossLayerResult(
-        result=result, w_hat=w_hat, v_gptq_route=v_g,
-        routes_agree=set(np.flatnonzero(v_b != v_g).tolist()) <= set(fragile),
-        off_span_residual=float(l2_norm(t[0] - projected)),
-        projected_error=float(l2_norm(projected - x_hat @ result.values)),
-    )
+                         fragile=np.flatnonzero(flagged).tolist())
+    return CrossLayerResult(result, w_hat, v_gptq, bool(agree), float(off_span), float(projected))

@@ -23,10 +23,6 @@ class TestParse:
         m = parse_matrix_csv(b"1,2\n3,4\n")
         np.testing.assert_array_equal(m, [[1.0, 2.0], [3.0, 4.0]])
 
-    def test_header_skipped(self):
-        m = parse_matrix_csv(b"x,y\n1,2\n", expect_header=True)
-        np.testing.assert_array_equal(m, [[1.0, 2.0]])
-
     def test_no_trailing_newline(self):
         m = parse_matrix_csv("1,2\n3,4")
         assert m.shape == (2, 2)
@@ -51,8 +47,6 @@ class TestParse:
     def test_empty_input(self):
         with pytest.raises(ParseError, match="empty"):
             parse_matrix_csv(b"")
-        with pytest.raises(ParseError, match="empty"):
-            parse_matrix_csv(b"header\n", expect_header=True)
 
     def test_invalid_utf8(self):
         with pytest.raises(ParseError, match="UTF-8"):
@@ -79,8 +73,8 @@ _TOKENS = st.one_of(
 
 @st.composite
 def csv_texts(draw):
-    """CSV text with blank lines, CRLF or stray CR endings, ragged rows
-    and an optional header; returns (text, expect_header)."""
+    """CSV text with blank lines, CRLF or stray CR endings and ragged
+    rows."""
     ncols = draw(st.integers(1, 4))
     width = st.sampled_from([ncols] * 6 + [ncols - 1, ncols + 1])
     lines = []
@@ -94,16 +88,13 @@ def csv_texts(draw):
     text = "".join(line + draw(endings) for line in lines)
     if lines and draw(st.booleans()):
         text = text.rstrip("\r\n")  # no final newline
-    header = draw(st.booleans())
-    if header:
-        text = "a,b\n" + text
-    return text, header
+    return text
 
 
-def outcome(parse, text, header):
+def outcome(parse, text):
     """What a parser makes of text: the value bits, or the error's details."""
     try:
-        m = parse(text, expect_header=header)
+        m = parse(text)
     except ParseError as exc:
         return ("ParseError", exc.line, exc.col, exc.token, str(exc))
     except RaggedRows as exc:
@@ -111,9 +102,9 @@ def outcome(parse, text, header):
     return ("ok", m.shape, m.view(np.uint64).tolist())
 
 
-def parse_per_field(text, expect_header=False):
+def parse_per_field(text):
     with mock.patch.object(matio, "_parse_bulk", lambda lines, nrows: None):
-        return parse_matrix_csv(text, expect_header=expect_header)
+        return parse_matrix_csv(text)
 
 
 class TestBulkParse:
@@ -121,10 +112,9 @@ class TestBulkParse:
 
     @given(csv_texts(), st.booleans())
     @settings(max_examples=500, deadline=None, derandomize=True)
-    def test_matches_per_field_loop(self, case, as_bytes):
-        text, header = case
+    def test_matches_per_field_loop(self, text, as_bytes):
         data = text.encode("utf-8") if as_bytes else text
-        assert outcome(parse_matrix_csv, data, header) == outcome(parse_per_field, data, header)
+        assert outcome(parse_matrix_csv, data) == outcome(parse_per_field, data)
 
     @pytest.mark.parametrize("text", [
         "1,2\n\n3,4\n",        # blank line: ragged at line 2
@@ -137,9 +127,10 @@ class TestBulkParse:
         "1,2\n3,x\n5\n",       # the first error in line order wins
         "1,2\n3\n5,y\n",
     ])
-    @pytest.mark.parametrize("header", [False, True])
-    def test_worked_cases(self, text, header):
-        assert outcome(parse_matrix_csv, text, header) == outcome(parse_per_field, text, header)
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_worked_cases(self, text, as_bytes):
+        data = text.encode("utf-8") if as_bytes else text
+        assert outcome(parse_matrix_csv, data) == outcome(parse_per_field, data)
 
     def test_valid_input_skips_the_per_field_loop(self):
         text = serialize_matrix_csv(np.arange(12.0).reshape(3, 4) / 7)
@@ -150,9 +141,9 @@ class TestBulkParse:
 
 def load_text(path):
     """load_matrix_csv as a parser of text: writes the text to path first."""
-    def load(text, expect_header=False):
+    def load(text):
         path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
-        return load_matrix_csv(path, expect_header=expect_header)
+        return load_matrix_csv(path)
     return load
 
 
@@ -160,12 +151,11 @@ def load_text(path):
 def csv_bytes(draw):
     """csv_texts as UTF-8 bytes, now and then with a byte that is not
     UTF-8 or a cut multi-byte sequence spliced in."""
-    text, header = draw(csv_texts())
-    data = text.encode("utf-8")
+    data = draw(csv_texts()).encode("utf-8")
     if draw(st.integers(0, 4)) == 0:
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(st.sampled_from([b"\xff", b"\xd9", b"\xe2\x82"])) + data[at:]
-    return data, header
+    return data
 
 
 class TestStreamedLoad:
@@ -174,30 +164,30 @@ class TestStreamedLoad:
 
     @given(csv_bytes(), st.sampled_from([1, 2, 3, 5, 8, 64, 1 << 20]))
     @settings(max_examples=400, deadline=None, derandomize=True)
-    def test_matches_parse_of_the_whole_bytes(self, tmp_path_factory, case, chunk):
-        data, header = case
+    def test_matches_parse_of_the_whole_bytes(self, tmp_path_factory, data, chunk):
         load = load_text(tmp_path_factory.getbasetemp() / "stream.csv")
         with mock.patch.object(matio, "CHUNK_BYTES", chunk):
-            assert outcome(load, data, header) == outcome(parse_matrix_csv, data, header)
+            assert outcome(load, data) == outcome(parse_matrix_csv, data)
 
-    @pytest.mark.parametrize("data, header, want", [
+    # as_text: the whole-text parse takes the data decoded, not as bytes
+    @pytest.mark.parametrize("data, as_text, want", [
         (b"1,2\r\n3,4\r\n", False, [[1, 2], [3, 4]]),             # CR | LF at 4 bytes
         ("1_0,\u0661\n2,3\n".encode(), False, [[10, 1], [2, 3]]),  # 0xD9 | 0xA1 at 5 bytes
         (b"1,2\n3,4\n5,\xff\n", False, ("ParseError", 3)),        # invalid UTF-8 past chunk 2
-        (b"a,b\n1,2\n3,4\n", True, [[1, 2], [3, 4]]),              # a header line
+        (b"a,b\n1,2\n3,4\n", True, ("ParseError", 1)),             # a header line is data
         (b"1,2\n\n3,4\n", False, ("RaggedRows", 2)),               # a blank middle line
         (b"1,2\n3,4", False, [[1, 2], [3, 4]]),                    # no trailing newline
         (b"", False, ("ParseError", 1)),                          # an empty file
     ])
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 7])
-    def test_chunk_boundaries(self, tmp_path, monkeypatch, data, header, want, chunk):
+    def test_chunk_boundaries(self, tmp_path, monkeypatch, data, as_text, want, chunk):
         monkeypatch.setattr(matio, "CHUNK_BYTES", chunk)
-        got = outcome(load_text(tmp_path / "m.csv"), data, header)
-        assert got == outcome(parse_matrix_csv, data, header)
+        got = outcome(load_text(tmp_path / "m.csv"), data)
+        assert got == outcome(parse_matrix_csv, data.decode() if as_text else data)
         if isinstance(want, tuple):
             assert got[:2] == want
         else:
-            assert got == outcome(parse_matrix_csv, serialize_matrix_csv(np.array(want, float)), False)
+            assert got == outcome(parse_matrix_csv, serialize_matrix_csv(np.array(want, float)))
 
     def test_valid_file_is_not_read_whole(self, tmp_path, monkeypatch):
         path = tmp_path / "m.csv"
@@ -328,7 +318,7 @@ class TestConvert:
     def test_declines_what_float_refuses(self, token):
         assert convert(f"1,{token}\n") is None
         text = f"1,{token}\n"
-        assert outcome(parse_matrix_csv, text, False) == outcome(parse_per_field, text, False)
+        assert outcome(parse_matrix_csv, text) == outcome(parse_per_field, text)
 
     def test_power_table_is_exact(self):
         assert [int(p) for p in matio._POW10] == [10 ** k for k in range(28)]

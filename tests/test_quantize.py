@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -59,6 +60,11 @@ BATCH_CASES = [pytest.param(algorithm, off_span, id=algorithm + ("-x_target" if 
                for off_span in (False, True) for algorithm in ("gptq", "babai")]
 
 
+# the report fields of quantize_matrix's route check, set with x_target only
+ROUTE_CHECK_FIELDS = ("w_hat", "v_second_route", "routes_agree", "off_span_residual",
+                      "projected_error")
+
+
 def relu(a):
     return np.maximum(a, 0.0)
 
@@ -79,7 +85,6 @@ class TestQuantConfig:
             {"mu": float("inf")},
             {"alpha": float("inf")},
             {"alpha": float("nan")},
-            {"tie_tol": -1.0},
             {"clamp": (3, 1)},
             {"algorithm": "rounding"},
         ],
@@ -701,15 +706,57 @@ class TestCrossLayerMatrix:
         for _ in range(3):
             weights = rng.standard_normal((n, n)) * np.sqrt(2.0 / n)
             v, rep = quantize_matrix(weights, x_hat, cfg, x_target=x)
-            rows = [cross_layer_target(x, x_hat, w, cfg).result for w in weights]
+            outs = [cross_layer_target(x, x_hat, w, cfg) for w in weights]
+            rows = [out.result for out in outs]
             np.testing.assert_array_equal(v, np.array([r.v for r in rows]))
             np.testing.assert_allclose(rep.row_errors, [r.error_l2 for r in rows], rtol=1e-12)
             np.testing.assert_allclose(rep.row_errors_regularized,
                                        [r.error_regularized for r in rows], rtol=1e-12)
+            # the route check: the wrapper's nearest plane is the layer's
+            # first route for babai and its second one for gptq
+            np.testing.assert_array_equal(bits(rep.w_hat), bits(np.array([o.w_hat for o in outs])))
+            second = [o.v_gptq_route if algorithm == "babai" else o.result.v for o in outs]
+            np.testing.assert_array_equal(rep.v_second_route, np.array(second))
+            assert rep.v_second_route.dtype == np.int64
+            assert rep.routes_agree.tolist() == [o.routes_agree for o in outs] == [True] * n
+            for name in ("off_span_residual", "projected_error"):
+                np.testing.assert_allclose(getattr(rep, name), [getattr(o, name) for o in outs],
+                                           rtol=1e-12)
             if algorithm == "babai":  # the wrapper's sweep
-                np.testing.assert_array_equal(rep.step_coeffs,
-                                              np.array([r.step_coeffs for r in rows]))
+                np.testing.assert_array_equal(bits(rep.step_coeffs),
+                                              bits(np.array([r.step_coeffs for r in rows])))
+            for reduce_delta in (None, 0.99):  # no target, no route check
+                _, plain = quantize_matrix(weights, x_hat, cfg, reduce_delta)
+                assert all(getattr(plain, name) is None for name in ROUTE_CHECK_FIELDS)
             x, x_hat = relu(x @ weights.T), relu(x_hat @ (alpha * v).T)
+
+    @pytest.mark.parametrize("algorithm", ["gptq", "babai"])
+    @pytest.mark.parametrize("reduce_delta", [None, 0.99])
+    def test_route_check_against_least_squares(self, algorithm, reduce_delta):
+        # w_hat is the least-squares fit of the target on [x; mu I] in V's
+        # coordinates, with or without reduction; the second route is
+        # compared and reported before the clamp, the errors take V after it
+        rng = np.random.default_rng(167)
+        x = rng.uniform(-1.0, 1.0, (12, 5)) @ rng.uniform(-1.0, 1.0, (5, 5))
+        x_target = x + 0.05 * rng.standard_normal(x.shape)
+        weights = rng.uniform(-4.0, 4.0, (8, 5))
+        cfg = QuantConfig(mu=0.1, alpha=0.3, algorithm=algorithm, clamp=(-6, 6))
+        v, rep = quantize_matrix(weights, x, cfg, reduce_delta, x_target)
+        v_free, _ = quantize_matrix(weights, x, dataclasses.replace(cfg, clamp=None),
+                                    reduce_delta, x_target)
+        assert np.abs(v_free).max() > 6  # the clamp moves something
+        stacked = regularize(x, cfg.mu)
+        for r, w in enumerate(weights):
+            t = x_target @ w
+            want = np.linalg.lstsq(stacked, np.concatenate([t / cfg.alpha, np.zeros(5)]),
+                                   rcond=None)[0]
+            np.testing.assert_allclose(rep.w_hat[r], want, rtol=1e-9, atol=1e-12)
+            assert rep.off_span_residual[r] == pytest.approx(
+                l2_norm(t - cfg.alpha * x @ rep.w_hat[r]), rel=1e-12)
+            assert rep.projected_error[r] == pytest.approx(
+                cfg.alpha * l2_norm(x @ (rep.w_hat[r] - v[r])), rel=1e-9)
+        np.testing.assert_array_equal(rep.v_second_route, v_free)
+        assert rep.routes_agree.all()
 
 
 def conditioned_instance(seed: int, decade: int, k: int = 64, n: int = 32):

@@ -181,7 +181,48 @@ def test_bench_pairs_summary_on_canned_runs():
     assert "wins 0/10" in err and "gap +0 within parent IQR" in err
 
 
+@pytest.mark.parametrize("change_s, claim, regression", [
+    # nine wins in ten, the gap (0.0995) past the parent's IQR (0.045)
+    ([0.60] + [0.44 + 0.001 * i for i in range(1, 10)], True, "ok"),
+    # ten wins, but the gap (0.01) inside the IQR
+    ([0.49 + 0.01 * i for i in range(10)], False, "ok"),
+    # eight wins: the gap alone is not a claim
+    ([0.60, 0.60] + [0.40] * 8, False, "ok"),
+    # a median 0.14 s worse, past 0.2 x 0.545 s
+    ([0.685 + 0.001 * i for i in range(10)], False, "worse"),
+    # 0.08 s worse, inside the margin (0.109) and the IQR (0.045)
+    ([0.625 + 0.001 * i for i in range(10)], False, "ok"),
+])
+def test_bench_pairs_verdicts_on_canned_runs(change_s, claim, regression):
+    bench_pairs = load_script("bench_pairs.py")
+    pairs = [(bench_pairs.parse_results(run_py_output("chain-3", 0.50 + 0.01 * i, 0.1))["chain-3"],
+              bench_pairs.parse_results(run_py_output("chain-3", c, 0.1))["chain-3"])
+             for i, c in enumerate(change_s)]
+    _, metrics = bench_pairs.compare(pairs, {"job_s_p50": "lower"}, {"job_s_p50": 0.2})
+    job = metrics["job_s_p50"]
+    assert (job["claim"], job["regression"]) == (claim, regression)
+    line = bench_pairs.summarize(pairs, {"job_s_p50": "lower"}, {"job_s_p50": 0.2})[0]
+    assert line.endswith(f"claim {'yes' if claim else 'no'}  regression {regression}")
+
+
+def test_bench_pairs_unresolved_when_the_parent_spreads_past_the_bound():
+    bench_pairs = load_script("bench_pairs.py")
+    parent = [0.4, 0.5, 0.6, 0.7, 0.8]  # IQR 0.2 against a margin of 0.06
+    # the same runs: no change, and no telling
+    assert bench_pairs.verdicts(parent, parent, "lower", 0.1)["regression"] == "unresolved"
+    # every change run beats every parent run: resolved despite the spread
+    assert bench_pairs.verdicts(parent, [0.1, 0.2, 0.3, 0.3, 0.35], "lower",
+                                0.1)["regression"] == "ok"
+    # higher is better: the median 0.1 lower is worse past 0.1 x 0.6
+    got = bench_pairs.verdicts(parent, [v - 0.1 for v in parent], "higher", 0.1)
+    assert (got["gap"], got["regression"]) == (pytest.approx(-0.1), "worse")
+    # ties count for neither side, and without a bound there is no verdict
+    got = bench_pairs.verdicts([1.0] * 10, [1.0] * 10, "lower", None)
+    assert (got["wins"], got["claim"], got["regression"]) == (0, False, None)
+
+
 def test_bench_pairs_alternates_which_side_runs_first(monkeypatch, capsys, tmp_path):
+    monkeypatch.chdir(tmp_path)  # where the summary file is written
     bench_pairs = load_script("bench_pairs.py")
     order = []
 
@@ -202,3 +243,48 @@ def test_bench_pairs_alternates_which_side_runs_first(monkeypatch, capsys, tmp_p
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "chain-3:"
     assert "wins 3/3" in out
+
+
+def test_bench_pairs_writes_its_summary(monkeypatch, capsys, tmp_path):
+    bench_pairs = load_script("bench_pairs.py")
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        job_s = 0.5 if checkout.name == "parent" else 0.7
+        return bench_pairs.parse_results(run_py_output(workload, job_s, 0.1,
+                                                       correct=checkout.name == "parent"))
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    monkeypatch.chdir(tmp_path)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 36, "end_to_end": [
+            {"name": "job_s_p50", "better": "lower", "bound": 0.25},
+            {"name": "err_rel", "better": "lower", "bound": 0.1}]}))
+    assert bench_pairs.main(["parent", "change", "--workload", "chain-3", "--seed", "7",
+                             "--pairs", "2"]) == 0
+    summary = json.loads((tmp_path / "BENCH_chain-3-s7.json").read_text())
+    assert (summary["workload"], summary["seed"], summary["pairs"]) == ("chain-3", 7, 2)
+    assert summary["failed_runs"] == ["change run 1: correct=False failed=0 of 40",
+                                      "change run 2: correct=False failed=0 of 40"]
+    job = summary["metrics"]["job_s_p50"]
+    assert job["parent"]["values"] == [0.5, 0.5] and job["change"]["median"] == 0.7
+    assert (job["wins"], job["claim"], job["regression"]) == (0, False, "worse")
+    assert summary["metrics"]["err_rel"]["regression"] == "ok"
+    assert "regression worse" in capsys.readouterr().out
+
+
+def test_src_lines_counts_code_and_docstrings_but_not_comments(tmp_path, capsys):
+    src_lines = load_script("src_lines.py")
+    (tmp_path / "a.py").write_text(
+        '"""A module.\n\nIts docstring counts."""\n'  # 2 lines, the blank one not
+        "\n"
+        "# a comment\n"
+        "    # an indented comment\n"
+        "x = 1  # a trailing comment: the code counts\n"
+        's = "# in a string"\n'
+        "   \n")
+    (tmp_path / "b.py").write_text("def f():\n    return 2\n")
+    (tmp_path / "notes.txt").write_text("not python\n")
+    assert src_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == ["a.py", "4", "b.py", "2", "total", "6"]
