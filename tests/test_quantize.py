@@ -60,11 +60,6 @@ BATCH_CASES = [pytest.param(algorithm, off_span, id=algorithm + ("-x_target" if 
                for off_span in (False, True) for algorithm in ("gptq", "babai")]
 
 
-# the report fields of quantize_matrix's route check, set with x_target only
-ROUTE_CHECK_FIELDS = ("w_hat", "v_second_route", "routes_agree", "off_span_residual",
-                      "projected_error")
-
-
 def relu(a):
     return np.maximum(a, 0.0)
 
@@ -727,7 +722,9 @@ class TestCrossLayerMatrix:
                                               bits(np.array([r.step_coeffs for r in rows])))
             for reduce_delta in (None, 0.99):  # no target, no route check
                 _, plain = quantize_matrix(weights, x_hat, cfg, reduce_delta)
-                assert all(getattr(plain, name) is None for name in ROUTE_CHECK_FIELDS)
+                assert all(getattr(plain, name) is None for name in (
+                    "w_hat", "v_second_route", "routes_agree", "off_span_residual",
+                    "projected_error"))
             x, x_hat = relu(x @ weights.T), relu(x_hat @ (alpha * v).T)
 
     @pytest.mark.parametrize("algorithm", ["gptq", "babai"])
