@@ -135,8 +135,6 @@ def _cmd_quantize(args) -> int:
         gamma_bound=gamma.gamma,
         fragile_count=len(rep.fragile),
         wall_time_ms=wall_ms,
-        v=v_mat[0].tolist() if m == 1 else None,
-        V=v_mat.tolist() if m > 1 else None,
         conditioning=conditioning,
         # not np.median, whose first call imports numpy.ma: ~20 ms and 1.8 MB
         quality={"row_ratio_max": float(ratios[-1]),

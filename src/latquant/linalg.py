@@ -174,7 +174,7 @@ class QLFactors:
         return np.diag(self.l)
 
 
-def ql_decompose(x, rank_tol: float = RANK_TOL) -> QLFactors:
+def ql_decompose(x) -> QLFactors:
     """Factor x (k x n, k >= n, full column rank) as Q L.
 
     Computed by running a Householder QR on the column-reversed input and
@@ -183,10 +183,10 @@ def ql_decompose(x, rank_tol: float = RANK_TOL) -> QLFactors:
     input bits.
 
     Raises RankDeficient when the smallest diagonal of L falls below
-    rank_tol times the largest (or when k < n), and warns
+    RANK_TOL times the largest (or when k < n), and warns
     IllConditionedWarning past COND_WARN.
     """
-    factors = _ql_factors(x, rank_tol)
+    factors = _ql_factors(x)
     # Q is orthonormal, so cond(X) == cond(L).
     if factors.cond > COND_WARN:
         warnings.warn(
@@ -198,7 +198,7 @@ def ql_decompose(x, rank_tol: float = RANK_TOL) -> QLFactors:
     return factors
 
 
-def _ql_factors(x, rank_tol: float = RANK_TOL) -> QLFactors:
+def _ql_factors(x) -> QLFactors:
     """ql_decompose without the condition check and warning."""
     x = check_matrix(x, "x")
     k, n = x.shape
@@ -218,7 +218,7 @@ def _ql_factors(x, rank_tol: float = RANK_TOL) -> QLFactors:
 
     d = np.diag(l)
     dmax = d.max() if n else 0.0
-    bad = np.flatnonzero(d <= rank_tol * dmax)
+    bad = np.flatnonzero(d <= RANK_TOL * dmax)
     if dmax <= 0.0:
         raise RankDeficient(0)
     if bad.size:
@@ -358,7 +358,7 @@ def invert_lower_triangular(l) -> np.ndarray:
     return _lower_inverse(l)
 
 
-def cholesky_spd(a, sym_tol: float = SYM_TOL) -> np.ndarray:
+def cholesky_spd(a) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
     Hand-rolled column recursion (kept independent of the QL path so the
@@ -370,7 +370,7 @@ def cholesky_spd(a, sym_tol: float = SYM_TOL) -> np.ndarray:
     if n != m:
         raise ValueError(f"a must be square, got shape {a.shape}")
     scale = np.abs(a).max()
-    if np.abs(a - a.T).max() > sym_tol * max(scale, 1.0):
+    if np.abs(a - a.T).max() > SYM_TOL * max(scale, 1.0):
         raise ValueError("a is not symmetric within tolerance")
 
     l = np.zeros_like(a)

@@ -46,6 +46,13 @@ _INT64_SAFE_BOUND = 2.0 ** 53
 # Exact determinant check is done in integer arithmetic up to this size.
 _EXACT_DET_MAX = 12
 
+# Slack of is_lll_reduced's tests on the float Gram-Schmidt data.
+_LLL_CHECK_TOL = 1e-9
+
+# The prime lll_reduce takes det u modulo where the float determinant is
+# inconclusive; below 2^31, so a product of two residues fits int64.
+_DET_PRIME = 2_147_483_647
+
 
 @dataclass(eq=False)
 class ReducedBasis:
@@ -168,7 +175,7 @@ def lll_reduce(basis, delta: float = DEFAULT_DELTA) -> ReducedBasis:
 
     basis_red = np.ascontiguousarray(b[:, ::-1]) * scale
     u_full = np.ascontiguousarray(u[::-1, ::-1])
-    if abs(abs(unimodular_det(u_full)) - 1.0) > 1e-6:
+    if not _is_unimodular(u_full):
         raise RuntimeError("reduction produced a non-unimodular transform")
     return ReducedBasis(basis_red=basis_red, u=u_full, delta=delta)
 
@@ -234,15 +241,47 @@ def unimodular_det(u: np.ndarray) -> float:
     return float(np.prod(_ql_factors(np.array(u, dtype=float)).diag))
 
 
-def is_lll_reduced(basis_red: np.ndarray, delta: float, tol: float = 1e-9) -> bool:
+def _is_unimodular(u: np.ndarray) -> bool:
+    """Whether |det u| = 1: the float determinant, which loses digits to
+    large entries, where it reads within 1e-6 of 1, else det u modulo
+    _DET_PRIME, which is +-1 for every unimodular u."""
+    try:
+        close = abs(abs(unimodular_det(u)) - 1.0) <= 1e-6
+    except (ValueError, OverflowError):  # entries past the float range, or a QR
+        close = False                    # that reads the columns as dependent
+    return close or _det_mod_prime(u) in (1, _DET_PRIME - 1)
+
+
+def _det_mod_prime(u: np.ndarray) -> int:
+    """det u modulo _DET_PRIME, by Gaussian elimination on int64 residues."""
+    p = _DET_PRIME
+    a = np.asarray(u % p, dtype=np.int64)  # object entries reduce as Python ints
+    det = 1
+    for i in range(a.shape[0]):
+        nonzero = np.flatnonzero(a[i:, i])
+        if not nonzero.size:
+            return 0
+        r = i + int(nonzero[0])
+        if r != i:
+            a[[i, r]] = a[[r, i]]
+            det = -det
+        pivot = int(a[i, i])
+        det = det * pivot % p
+        factors = a[i + 1 :, i] * pow(pivot, -1, p) % p
+        a[i + 1 :, i + 1 :] = (a[i + 1 :, i + 1 :] - factors[:, None] * a[i, i + 1 :] % p) % p
+    return det
+
+
+def is_lll_reduced(basis_red: np.ndarray, delta: float) -> bool:
     """Check size reduction (|mu_ij| <= 1/2 + tol) and the delta condition
-    on adjacent pairs (B_k >= (delta - mu_k,k-1^2 - tol) B_k-1), in the
-    orientation the reduction ran in, on the mu and B of one QL
-    factorization of the basis divided by a power of two.  Raises
-    RankDeficient on dependent columns."""
+    on adjacent pairs (B_k >= (delta - mu_k,k-1^2 - tol) B_k-1), with tol
+    = _LLL_CHECK_TOL, in the orientation the reduction ran in, on the mu
+    and B of one QL factorization of the basis divided by a power of two.
+    Raises RankDeficient on dependent columns."""
     b = check_matrix(basis_red, "basis_red")
     mu, norms2 = _gram_schmidt_arrays(b[:, ::-1].T / power_of_two_scale(b))
-    if np.any(np.abs(np.tril(mu, -1)) > 0.5 + tol):
+    if np.any(np.abs(np.tril(mu, -1)) > 0.5 + _LLL_CHECK_TOL):
         return False
     adjacent = np.diagonal(mu, -1)
-    return not np.any(norms2[1:] < (delta - adjacent ** 2) * norms2[:-1] - tol * norms2[:-1])
+    return not np.any(norms2[1:] < (delta - adjacent ** 2) * norms2[:-1]
+                      - _LLL_CHECK_TOL * norms2[:-1])

@@ -3,8 +3,9 @@
 Every CLI run that quantizes something writes one JSON object with a
 fixed key vocabulary (REPORT_SCHEMA, version SCHEMA_VERSION, which every
 report carries as schema_version); optional keys are omitted rather than
-set to null.  Reals are rendered with 17 significant digits so the values
-round-trip exactly.
+set to null.  The report is rendered by one json.dumps call: reals in
+Python's shortest round-trip repr, numpy values as the Python values they
+hold, and a non-finite real refused, since JSON has no inf or nan.
 
 Version 2 made step_coeffs optional: compare and oracle write their
 n-value list, quantize writes none (its m * n coefficients were most of
@@ -14,20 +15,23 @@ conditioning (the resolved mu, the factor route, min/max L_ii and the
 1-norm condition number cond_1 of L), quality (the max and median over
 rows of the regularized error over the per-row bound alpha * ||diag L||,
 at most 1 for unclamped runs) and timings_ms (parse, factor and solve).
+
+Version 3 took V (and v) out of quantize reports: V.csv holds the same
+integers, which were nearly all of a layer's report (631 KB of 632 KB
+at 512 x 512).  compare and oracle still write v and step_coeffs.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _KEY_ORDER = (
-    "schema_version", "algorithm", "n", "k", "m", "mu", "alpha", "delta", "v", "V",
+    "schema_version", "algorithm", "n", "k", "m", "mu", "alpha", "delta", "v",
     "error_l2", "error_regularized", "bound_abs_paper", "bound_abs_halfstep",
     "gamma_bound", "step_coeffs", "fragile_count", "agreement",
     "oracle_error", "wall_time_ms", "conditioning", "quality", "timings_ms",
@@ -57,8 +61,6 @@ REPORT_SCHEMA = {
         "error_l2", "error_regularized", "bound_abs_paper",
         "bound_abs_halfstep", "gamma_bound", "fragile_count", "wall_time_ms",
     ],
-    # v (single row) and V (matrix) are mutually exclusive.
-    "not": {"required": ["v", "V"]},
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
         "algorithm": {"type": "string"},
@@ -69,10 +71,6 @@ REPORT_SCHEMA = {
         "alpha": {"type": "number", "exclusiveMinimum": 0},
         "delta": {"type": "number"},
         "v": {"type": "array", "items": {"type": "integer"}},
-        "V": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "integer"}},
-        },
         "error_l2": {"type": "number", "minimum": 0},
         "error_regularized": {"type": "number", "minimum": 0},
         "bound_abs_paper": {"type": "number", "minimum": 0},
@@ -112,7 +110,6 @@ class Report:
     wall_time_ms: float
     step_coeffs: list[float] | None = None
     v: list[int] | None = None
-    V: list[list[int]] | None = None
     agreement: bool | None = None
     oracle_error: float | None = None
     conditioning: dict | None = None
@@ -124,48 +121,17 @@ class Report:
         return {key: raw[key] for key in _KEY_ORDER if raw[key] is not None}
 
     def to_json(self) -> str:
-        return render_json(self.to_dict())
+        """The report as one line of JSON.  JSON has no inf or nan, so a
+        non-finite real raises ValueError."""
+        try:
+            return json.dumps(self.to_dict(), allow_nan=False, separators=(",", ":"),
+                              default=_plain)
+        except ValueError:
+            raise ValueError("cannot render a non-finite real as JSON") from None
 
 
-def _format_real(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot render the non-finite real {float(x)!r} as JSON")
-    s = format(float(x), ".17g")
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"  # keep JSON type stable across round-trips
-    return s
-
-
-def render_json(value) -> str:
-    """JSON with reals at 17 significant digits (bools checked before
-    ints; numpy scalars welcome).  JSON has no inf or nan, so a
-    non-finite real raises ValueError."""
-    if isinstance(value, dict):
-        items = ",".join(f"{json.dumps(str(k))}:{render_json(v)}" for k, v in value.items())
-        return "{" + items + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + _render_items(value) + "]"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_real(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
+def _plain(value):
+    """The Python value of a numpy scalar or array, for json.dumps."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
     raise TypeError(f"cannot render {type(value)!r} as JSON")
-
-
-def _render_items(items) -> str:
-    """The comma-joined items of a list: in one join when all are exactly
-    float, in one repr of the list without its spaces and brackets when
-    all are exactly int (which excludes bool and numpy integers, whose
-    repr names the type), else one by one."""
-    kinds = set(map(type, items))
-    if kinds == {float}:
-        return ",".join(map(_format_real, items))
-    if kinds == {int}:
-        return repr(list(items)).replace(" ", "")[1:-1]
-    return ",".join(render_json(v) for v in items)

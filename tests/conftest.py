@@ -36,3 +36,17 @@ def make_instance():
         return rng.uniform(-1.0, 1.0, (k, n)), rng.uniform(-1.0, 1.0, n)
 
     return _make
+
+
+@pytest.fixture
+def ill_conditioned_basis() -> np.ndarray:
+    """X 25 x 17 with cond ~3e10 (singular values 1 .. ~1e-11 between two
+    random rotations).  Its LLL transform has entries up to 56114 and
+    determinant 1, which the float determinant read as 1.0000052."""
+    rng = np.random.default_rng(1000)
+    n = int(rng.integers(14, 32))
+    k = n + int(rng.integers(0, n))
+    s = np.logspace(0, -rng.uniform(8, 12), n)
+    rotation = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (rng.standard_normal((k, n)) @ (rotation * s)
+            @ np.linalg.qr(rng.standard_normal((n, n)))[0])

@@ -51,7 +51,7 @@ class TestQuantize:
         assert code == 0
         assert (workdir / "V.csv").read_text() == "0,2\n"
         data, _ = read_report(workdir / "report.json")
-        assert data["v"] == [0, 2]
+        assert "v" not in data
         assert data["algorithm"] == "gptq"
         assert data["fragile_count"] == 0
         assert data["error_l2"] <= data["bound_abs_paper"]
@@ -61,8 +61,8 @@ class TestQuantize:
         weights = write(workdir / "W.csv", [[0.4, 1.6], [2.2, -0.7]])
         assert main(["quantize", "--weights", weights, "--calib", calib]) == 0
         data, _ = read_report(workdir / "report.json")
-        assert "v" not in data
-        assert data["V"] == [[0, 2], [2, -1]]
+        assert "v" not in data and "V" not in data
+        assert load_matrix_csv(workdir / "V.csv").tolist() == [[0, 2], [2, -1]]
         assert data["m"] == 2
 
     def test_gptq_and_babai_write_identical_files(self, workdir):
@@ -139,7 +139,7 @@ class TestQuantize:
         assert data["algorithm"] == "gptq+lll"
         # the reduced basis finds the optimum this greedy run misses
         assert data["error_l2"] == pytest.approx(np.sqrt(0.32), rel=1e-12)
-        v = np.array(data["v"])
+        v = load_matrix_csv(workdir / "V.csv")[0]
         np.testing.assert_allclose(np.array([[3.0, 5.0], [1.0, 2.0]]) @ v, [0.0, 0.0],
                                    atol=1e-12)
 
@@ -228,7 +228,7 @@ class TestQuantize:
         assert main(["quantize", "--weights", weights, "--calib", calib]) == 0
         data, _ = read_report(workdir / "report.json")
         ref, _ = read_report(workdir / "small.json")
-        assert data["v"] == ref["v"]
+        assert (workdir / "V.csv").read_text() == (workdir / "V1.csv").read_text()
         for key in ("error_l2", "error_regularized", "bound_abs_paper", "bound_abs_halfstep"):
             assert data[key] == pytest.approx(1e160 * ref[key], rel=1e-12)
         assert data["bound_abs_paper"] == pytest.approx(1e160 * np.sqrt(29 + 1 / 29), rel=1e-12)
@@ -635,6 +635,21 @@ class TestReduce:
         out = capsys.readouterr().out
         assert "sum L_ii^2" in out
 
+    def test_ill_conditioned_lattice(self, workdir, capsys, ill_conditioned_basis):
+        # an exact unimodular transform whose float determinant reads 1.0000052
+        x = ill_conditioned_basis
+        calib = write(workdir / "X.csv", x)
+        assert main(["reduce", "--calib", calib]) == 0
+        reduced = load_matrix_csv(workdir / "reduced.csv")
+        u = load_matrix_csv(workdir / "unimodular.csv")
+        # equal up to rounding, small against |X| @ |u| (reduced cancels to ~1e-5)
+        assert np.all(np.abs(x @ u - reduced) <= 1e-13 * (np.abs(x) @ np.abs(u)))
+        write(workdir / "W.csv", np.ones((2, x.shape[1])))
+        assert main(["quantize", "--weights", "W.csv", "--calib", calib,
+                     "--reduce", "lll"]) == 0
+        assert main(["bounds", "--calib", calib, "--reduce", "lll"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_large_finite_data(self, workdir, capsys):
         # the transform is the unscaled one; sum L_ii^2 (~3e321) reads inf
         small = write(workdir / "X1.csv", [[3.0, 5.0], [1.0, 2.0]])
@@ -669,8 +684,9 @@ def test_mu_hint_on_subcommands_that_take_mu(workdir, capsys, command):
 
 
 class TestReportSchemaV2:
-    """Every report-writing command validates against schema version 2;
-    quantize drops the step coefficients and explains the run instead."""
+    """Every report-writing command validates against the schema (version
+    3 now); quantize drops the step coefficients and V, which V.csv holds,
+    and explains the run instead."""
 
     @pytest.mark.parametrize("m, options, cfg, delta", [
         (1, [], QuantConfig(), None),
@@ -688,9 +704,9 @@ class TestReportSchemaV2:
         calib, weights = write(workdir / "X.csv", x), write(workdir / "W.csv", w)
         assert main(["quantize", "--weights", weights, "--calib", calib, *options]) == 0
         data, _ = read_report(workdir / "report.json")
-        assert data["schema_version"] == 2
+        assert data["schema_version"] == 3
         assert "step_coeffs" not in data
-        assert ("v" in data) == (m == 1) and ("V" in data) == (m > 1)
+        assert "v" not in data and "V" not in data
 
         cond = data["conditioning"]
         assert cond["mu"] == data["mu"]
@@ -702,7 +718,11 @@ class TestReportSchemaV2:
         assert timings["factor"] + timings["solve"] <= data["wall_time_ms"] * (1 + 1e-9)
 
         # the same numbers from the library's report on the same inputs
-        _, rep = quantize_matrix(load_matrix_csv(weights), load_matrix_csv(calib), cfg, delta)
+        v_mat, rep = quantize_matrix(load_matrix_csv(weights), load_matrix_csv(calib), cfg,
+                                     delta)
+        v_csv = load_matrix_csv(workdir / "V.csv")
+        assert v_csv.shape == (m, 4)
+        assert np.array_equal(v_csv, v_mat)
         assert cond["l_diag_min"] == rep.l_diag.min()
         assert cond["l_diag_max"] == rep.l_diag.max()
         assert cond["cond_1"] == rep.cond
@@ -737,7 +757,7 @@ class TestReportSchemaV2:
         assert main(["compare", "--random", "5,9", "--seeds", "3",
                      "--report", "r.json"]) == 0
         data, _ = read_report(workdir / "r.json")
-        assert data["schema_version"] == 2
+        assert data["schema_version"] == 3
         assert len(data["step_coeffs"]) == 5
         for key in ("conditioning", "quality", "timings_ms"):
             assert key not in data
@@ -748,5 +768,5 @@ class TestReportSchemaV2:
         assert main(["oracle", "--calib", calib, "--target", target,
                      "--report", "r.json"]) == 0
         data, _ = read_report(workdir / "r.json")
-        assert data["schema_version"] == 2
+        assert data["schema_version"] == 3
         assert data["step_coeffs"] == pytest.approx([-1.2, 19.8 / 29.0], abs=1e-12)

@@ -406,6 +406,47 @@ class TestUnimodularDet:
         assert abs(abs(unimodular_det(u)) - 1.0) <= 1e-6
 
 
+class TestUnimodularCheck:
+    """lll_reduce refuses a transform whose determinant is not +-1, decided
+    on the residue modulo a prime where the float determinant is off."""
+
+    def test_residue_matches_the_exact_determinant(self):
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            n = int(rng.integers(1, 8))
+            u = np.array(rng.integers(-5, 6, (n, n)), dtype=object)
+            if trial % 3 == 0:
+                u[:, 0] = u[:, -1]  # singular
+            if trial % 5 == 0:
+                u = u * 10 ** 30  # past int64, so reduced as Python ints
+            det = reduction._det_bareiss(u.tolist())
+            assert reduction._det_mod_prime(u) == det % reduction._DET_PRIME
+
+    def test_ill_conditioned_lattice_reduces(self, ill_conditioned_basis):
+        red = lll_reduce(ill_conditioned_basis)
+        assert red.u.shape == (17, 17)
+        assert reduction._det_mod_prime(red.u) in (1, reduction._DET_PRIME - 1)
+        assert is_lll_reduced(red.basis_red, red.delta)
+        # basis_red = basis @ u up to the rounding of the column operations,
+        # small against |basis| @ |u| (the entries of basis_red cancel to ~1e-5)
+        exact = (np.array(ill_conditioned_basis, dtype=object) @ red.u).astype(float)
+        scale = np.abs(ill_conditioned_basis) @ np.abs(red.u).astype(float)
+        assert np.all(np.abs(red.basis_red - exact) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("n", [3, 17])
+    def test_determinant_two_raises(self, n, monkeypatch):
+        lll_columns = reduction._lll_columns
+
+        def doubling(b, u, delta):
+            lll_columns(b, u, delta)
+            u[:, 0] *= 2
+
+        monkeypatch.setattr(reduction, "_lll_columns", doubling)
+        basis = np.random.default_rng(n).standard_normal((n + 4, n))
+        with pytest.raises(RuntimeError, match="non-unimodular"):
+            lll_reduce(basis)
+
+
 class TestPayoff:
     def test_worked_end_to_end(self, worked_basis):
         # the greedy sweep on the raw basis lands on a suboptimal point;

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latquant.report import REPORT_SCHEMA, SCHEMA_VERSION, Report, render_json
+from latquant.report import REPORT_SCHEMA, SCHEMA_VERSION, Report
 
 CONDITIONING = {"mu": 0.0, "route": "cholesky", "l_diag_min": 0.19,
                 "l_diag_max": 5.39, "cond_1": 46.0}
@@ -52,8 +52,8 @@ class TestReport:
 
     def test_every_report_carries_the_schema_version(self):
         data = json.loads(make_report().to_json())
-        assert data["schema_version"] == SCHEMA_VERSION == 2
-        for version in (None, 1):
+        assert data["schema_version"] == SCHEMA_VERSION == 3
+        for version in (None, 1, 2):
             if version is None:
                 del data["schema_version"]
             else:
@@ -87,10 +87,12 @@ class TestReport:
             jsonschema.validate(data, REPORT_SCHEMA)
 
     def test_schema_rejects_both_v_and_V(self):
+        # schema 3 has no V: a matrix's integers live in V.csv alone
         data = json.loads(make_report(v=[1]).to_json())
-        data["V"] = [[1]]
-        with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate(data, REPORT_SCHEMA)
+        without_v = {k: v for k, v in data.items() if k != "v"}
+        for report in ({**data, "V": [[1]]}, {**without_v, "V": [[1]]}):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(report, REPORT_SCHEMA)
 
     def test_schema_rejects_unknown_keys(self):
         data = json.loads(make_report().to_json())
@@ -99,55 +101,55 @@ class TestReport:
             jsonschema.validate(data, REPORT_SCHEMA)
 
 
+def render(value, key="step_coeffs"):
+    """The text Report.to_json gives value in one of its fields."""
+    return make_report(**{key: value}).to_json()
+
+
+def rendered(value, key="step_coeffs"):
+    """The value Report.to_json gives back for value in one of its fields."""
+    return json.loads(render(value, key))[key]
+
+
 class TestRenderJson:
     @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
     @settings(max_examples=300, deadline=None)
     def test_reals_round_trip_bit_exact(self, x):
-        back = json.loads(render_json({"x": x}))["x"]
+        back = rendered(x, "error_l2")
         assert np.float64(back).view(np.uint64) == np.float64(x).view(np.uint64)
 
     def test_reals_stay_reals(self):
         # whole-number floats keep a decimal point so types survive a round trip
-        assert render_json(2.0) == "2.0"
-        assert isinstance(json.loads(render_json(2.0)), float)
+        assert '"error_l2":2.0,' in render(2.0, "error_l2")
+        assert isinstance(rendered(2.0, "error_l2"), float)
 
     def test_bools_are_not_ints(self):
-        assert render_json({"agreement": True}) == '{"agreement":true}'
+        assert '"agreement":true' in render(True, "agreement")
+        assert '"agreement":true' in render(np.bool_(True), "agreement")
 
     def test_numpy_scalars_and_arrays(self):
-        out = render_json({"v": np.array([1, -2]), "e": np.float64(0.5)})
-        assert json.loads(out) == {"v": [1, -2], "e": 0.5}
+        assert rendered(np.array([1, -2]), "v") == [1, -2]
+        assert rendered(np.float64(0.5), "mu") == 0.5
+        assert rendered(np.float32(0.5), "mu") == 0.5
+        assert rendered(np.int64(7), "fragile_count") == 7
+        assert rendered({"mu": np.float64(0.25), "route": "qr"}, "conditioning") == {
+            "mu": 0.25, "route": "qr"}
 
     @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_reals(self, x):
         # JSON has no inf or nan; Python's json would write invalid text
         with pytest.raises(ValueError, match="non-finite"):
-            render_json({"mu": [0.5, np.float64(x)]})
+            render({"mu": 0.5, "l_diag_min": np.float64(x)}, "conditioning")
+        with pytest.raises(ValueError, match="non-finite"):
+            render(float(x), "error_l2")
 
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
-            render_json(object())
-
-
-def render_one_by_one(value):
-    """render_json with every list rendered item by item."""
-    if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(str(k))}:{render_one_by_one(v)}"
-                              for k, v in value.items()) + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ",".join(render_one_by_one(v) for v in value) + "]"
-    return render_json(value)
-
-
-def rendering(render, value):
-    try:
-        return render(value)
-    except ValueError as exc:
-        return ("ValueError", str(exc))
+            render(object())
 
 
 _REALS = st.one_of(
-    st.floats(width=64),  # nan and inf included: both renderings must refuse them
+    st.floats(width=64),  # nan and inf included: the rendering must refuse them
     st.sampled_from([-0.0, 0.0, 1e16, 1e16 + 2, 5e-324, -5e-324, 1.7976931348623157e308]),
 )
 _INTS = st.one_of(st.integers(), st.sampled_from([2 ** 63, -(2 ** 63) - 1, 10 ** 30]))
@@ -158,29 +160,55 @@ _ITEMS = st.one_of(
 )
 
 
+def same_values(back, items) -> bool:
+    """Whether back holds items' values with their JSON types: bit for bit
+    for reals, exactly for integers, bools as bools."""
+    if isinstance(items, (list, tuple)):
+        return (isinstance(back, list) and len(back) == len(items)
+                and all(same_values(b, i) for b, i in zip(back, items)))
+    if isinstance(items, (bool, np.bool_)):
+        return back is bool(items)
+    if isinstance(items, (int, np.integer)):
+        return type(back) is int and back == int(items)
+    return (type(back) is float
+            and np.float64(back).view(np.uint64) == np.float64(items).view(np.uint64))
+
+
+def has_non_finite(items) -> bool:
+    if isinstance(items, (list, tuple)):
+        return any(map(has_non_finite, items))
+    return isinstance(items, (float, np.floating)) and not np.isfinite(items)
+
+
 class TestBulkRender:
-    """Lists of exactly float or exactly int render in one join; the text
-    must be what rendering item by item gives."""
+    """A list field renders to the values of its items, whatever mix of
+    Python and numpy types it holds, and refuses a non-finite item."""
+
+    def check(self, items):
+        if has_non_finite(items):
+            with pytest.raises(ValueError, match="non-finite"):
+                render(items)
+        else:
+            assert same_values(rendered(items), items)
 
     @given(st.one_of(st.lists(_REALS), st.lists(_INTS), st.lists(st.booleans()),
                      st.lists(_ITEMS), st.lists(st.lists(_INTS), max_size=3)))
     @settings(max_examples=500, deadline=None, derandomize=True)
     def test_matches_item_by_item(self, items):
-        assert rendering(render_json, items) == rendering(render_one_by_one, items)
-        record = {"step_coeffs": items, "n": 2}
-        assert rendering(render_json, record) == rendering(render_one_by_one, record)
+        self.check(items)
 
     @pytest.mark.parametrize("items", [
         [], [-0.0, 1e16, 5e-324], [2 ** 64, -(2 ** 70), 0], [True, False],
         [1, True], [1, 2.0], [np.float64(0.5), 0.25], [np.int64(3), 4],
         [np.bool_(True)], (1.5, 2.5),
-        # the one repr of an int list: a tuple, one item, int64's extremes, V
         (7,), (3, -4), [-(2 ** 63), 2 ** 63 - 1], [[1, -2], [3, 4]], [[]],
     ])
     def test_worked_cases(self, items):
-        assert render_json(items) == render_one_by_one(items)
+        self.check(items)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_refuses_non_finite_items(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            render_json([0.5, float(bad), 1.5])
+            render([0.5, float(bad), 1.5])
+        with pytest.raises(ValueError, match="non-finite"):
+            render(np.array([0.5, bad]))
