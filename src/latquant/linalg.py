@@ -13,9 +13,10 @@ computes by Householder QR; the reference code built on LatticeBasis,
 which also needs Q, always uses it.
 
 Everything here is numpy: the factorizations are np.linalg's, and L^-1
-is block substitution on matrix products.  Every triangular solve
-downstream is a product with L^-1 or its transpose, and the 1-norm
-condition number that gates the Gram route is read exactly from it.
+is block substitution on matrix products, with np.linalg.inv on the
+diagonal blocks.  Every triangular solve downstream is a product with
+L^-1 or its transpose, and the 1-norm condition number that gates the
+Gram route is read exactly from it.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ GRAM_COND_MAX = 1e3
 # rows: 64 KiB of squares, a sixteenth of _row_errors' block at k = 2048.
 NORM_BLOCK = 1 << 13
 
-# Rows per diagonal block of the triangular inverse (a power of two): each
-# block is inverted once, and the rest costs one matrix product per block.
+# Rows per diagonal block of the triangular inverse: each block is inverted
+# once, and the rest costs one matrix product per block.
 SOLVE_BLOCK = 64
 
 
@@ -233,58 +234,24 @@ def _zero_upper(a: np.ndarray) -> None:
         a[i, i + 1 :] = 0.0
 
 
-def _diagonal_block_inverses(l: np.ndarray) -> np.ndarray:
-    """Inverses of the diagonal blocks of lower-triangular l, SOLVE_BLOCK
-    rows each (one block of the next power of two >= n when n is smaller;
-    the last block is padded with the identity).
-
-    Runs the 2 x 2 block recursion [[A, 0], [C, D]]^-1 =
-    [[A^-1, 0], [-D^-1 C A^-1, D^-1]] from 1 x 1 blocks upwards, all
-    blocks of one size in one batched product, so a block costs
-    log2(SOLVE_BLOCK) steps of numpy calls, not one per row."""
-    n = l.shape[0]
-    block = min(SOLVE_BLOCK, 1 << (n - 1).bit_length())
-    order = -(-n // block) * block
-    diag = np.zeros((order // block, block, block))  # l's diagonal blocks
-    for b, j in enumerate(range(0, n, block)):
-        e = min(j + block, n)
-        diag[b, : e - j, : e - j] = l[j:e, j:e]
-    pad = np.arange(n - order + block, block)  # the last block's identity rows
-    diag[-1, pad, pad] = 1.0
-    inv = (1.0 / np.diagonal(diag, axis1=1, axis2=2)).reshape(order, 1, 1)
-    s = 1
-    while s < block:
-        # C of every pair: the s x s blocks (2i + 1, 2i) of the padded l,
-        # each inside one diagonal block
-        pair = np.arange(order // (2 * s))
-        blk, odd = divmod(pair, block // (2 * s))
-        odd = 2 * odd + 1
-        c = diag.reshape(-1, block // s, s, block // s, s)[blk, odd, :, odd - 1, :]
-        a_inv, d_inv = inv[0::2], inv[1::2]
-        inv = np.zeros((order // (2 * s), 2 * s, 2 * s))
-        inv[:, :s, :s] = a_inv
-        inv[:, s:, s:] = d_inv
-        inv[:, s:, :s] = -((d_inv @ c) @ a_inv)
-        s *= 2
-    return inv
-
-
 def _lower_inverse(l: np.ndarray) -> np.ndarray:
     """The inverse of lower-triangular l with nonzero diagonal, by block
     forward substitution on the identity: each SOLVE_BLOCK-row block takes
-    one product with the rows already solved and one with the inverse of
-    its diagonal block.  Entries that overflow come out inf or nan, which
+    one product with the rows already solved and one with np.linalg.inv of
+    its diagonal block, and is nan where that inverse overflows (np.linalg
+    raises).  Entries that overflow come out inf or nan, which
     _cond_estimate reads as an infinite condition number."""
     n = l.shape[0]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inverses = _diagonal_block_inverses(l)
-        block = inverses.shape[1]
-        x = np.eye(n)
-        for j in range(0, n, block):
-            e = min(j + block, n)
+    x = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(0, n, SOLVE_BLOCK):
+            e = min(j + SOLVE_BLOCK, n)
             if j:
                 x[j:e] -= l[j:e, :j] @ x[:j]
-            x[j:e] = inverses[j // block, : e - j, : e - j] @ x[j:e]
+            try:
+                x[j:e] = np.linalg.inv(l[j:e, j:e]) @ x[j:e]
+            except np.linalg.LinAlgError:
+                x[j:e] = np.nan
     _zero_upper(x)
     return x
 

@@ -5,23 +5,23 @@ separator, no ragged rows.  Serialization writes the shortest decimal
 string that parses back to the same double, so parse(serialize(m)) == m
 bitwise for every finite matrix.
 
-Parsing fills a preallocated array a chunk of complete lines at a time
-and checks finiteness once at the end.  load_matrix_csv streams the file:
-it counts the lines in one pass, then reads CHUNK_BYTES at a time and
-carries each chunk's partial last line into the next, so it holds the
-array and a few chunks, never the whole text.  parse_matrix_csv runs the
-same chunks over text in memory, so the grammar and the bits are the
-same either way.  A chunk of plain decimals (what repr and %.17g write)
-is converted by array operations (_convert): integer mantissas and
-exponents in one pass, then one correctly rounded extended-precision
-multiplication or division per value, with float() kept for the few
-values that rounding could miss, so every value has float()'s bits.  Any
-other chunk (spaces, underscores, CR, non-ASCII digits, inf) goes through
-float() field by field.  Only when that fails (invalid UTF-8, a token
-float() refuses, a wrong field count or a non-finite value) does the
-per-field loop run over the whole text, re-read from the start for a
-file, and only to raise ParseError or RaggedRows at the first bad line
-and field.
+Parsing counts the lines, then fills a preallocated array a chunk of
+complete lines at a time, reading CHUNK_BYTES at a time and carrying each
+chunk's partial last line into the next: load_matrix_csv holds the array
+and a few chunks, never the whole text, errors included, and
+parse_matrix_csv runs the same chunks over text in memory.  A chunk of
+plain decimals (what repr and %.17g write) is converted by array
+operations (_convert): integer mantissas and exponents in one pass, then
+one correctly rounded extended-precision multiplication or division per
+value, with float() kept for the few values that rounding could miss, so
+every value has float()'s bits.  Any other chunk (spaces, underscores, CR,
+non-ASCII digits, inf) goes through float() line by line (_convert_lines),
+which raises ParseError or RaggedRows at the first bad line and field:
+
+  (a) The first bad line in line order is reported, also where a later
+      line holds a byte that is not UTF-8.
+  (b) The token of such a byte is the 4 bytes of its line from it, fewer
+      at the line's end.
 """
 
 from __future__ import annotations
@@ -66,67 +66,68 @@ class RaggedRows(ValueError):
 
 def parse_matrix_csv(text: bytes | str) -> np.ndarray:
     """Parse CSV text into a 2-D float64 matrix, refusing non-finite
-    values.  Line and field positions in errors are 1-based."""
-    data = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
-    nrows = _count_lines(io.BytesIO(data))
-    out = _parse_bulk(_chunks(io.BytesIO(data)), nrows)
-    if out is not None:
-        return out
+    values.  Line and field positions in errors are 1-based.  A str goes
+    through the bytes parse encoded with surrogatepass, and its lines are
+    decoded back the same way, so a lone surrogate reads as not a number."""
     if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = text[: exc.start].count(b"\n") + 1
-            raise ParseError(line, 0, repr(exc.object[exc.start : exc.start + 4]),
-                             "invalid UTF-8") from exc
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+        return _parse(io.BytesIO(text), "strict")
+    return _parse(io.BytesIO(text.encode("utf-8", "surrogatepass")), "surrogatepass")
+
+
+def _parse(f: BinaryIO, errors: str) -> np.ndarray:
+    """The lines of f into one preallocated array, a chunk of complete
+    lines at a time: through _convert, or through the line loop where
+    _convert declines a chunk or it holds a non-finite value.  errors
+    decodes the line loop's lines.  A line count that differs from the
+    counting pass (the file changed in between) raises ParseError."""
+    nrows = _count_lines(f)
+    if not nrows:
         raise ParseError(1, 1, "", "empty input")
-    return _parse_fields(lines, 1)
-
-
-def _parse_bulk(chunks: Iterator[bytes], nrows: int) -> np.ndarray | None:
-    """nrows lines, a chunk of complete lines at a time, into one
-    preallocated array: each chunk through _convert, or through the float()
-    line loop where _convert declines it.  None when a line needs the
-    per-field parser or there are not nrows lines."""
+    f.seek(0)
     out, count = None, 0
-    try:
-        for chunk in chunks:
-            if not chunk.endswith(b"\n"):
-                chunk += b"\n"  # the last line of a text without a final newline
-            if out is None:
-                out = np.empty((nrows, chunk.count(b",", 0, chunk.index(b"\n")) + 1))
-            rows = chunk.count(b"\n")
-            if count + rows > nrows:
-                return None
-            dest = out[count : count + rows]
-            if not (_convert(chunk, dest) or _convert_lines(chunk, dest)):
-                return None
-            count += rows
-    except UnicodeDecodeError:
-        return None
-    if out is None or count != nrows or not np.isfinite(out).all():
-        return None
+    for chunk in _chunks(f):
+        if not chunk.endswith(b"\n"):
+            chunk += b"\n"  # the last line of a text without a final newline
+        if out is None:
+            out = np.empty((nrows, chunk.count(b",", 0, chunk.index(b"\n")) + 1))
+        first, count = count, count + chunk.count(b"\n")
+        if count > nrows:
+            break
+        dest = out[first:count]
+        if not (_convert(chunk, dest) and np.isfinite(dest).all()):
+            _convert_lines(chunk, dest, first + 1, errors)
+    if count != nrows:
+        raise ParseError(min(count, nrows) + 1, 0, "", "the file changed while it was read")
     return out
 
 
-def _convert_lines(chunk: bytes, dest: np.ndarray) -> bool:
-    """The line loop: float() on every field of chunk's lines into dest's
-    rows; False at a wrong field count or a token float() refuses.
-    Raises UnicodeDecodeError on invalid UTF-8."""
+def _convert_lines(chunk: bytes, dest: np.ndarray, first: int, errors: str) -> None:
+    """The line loop: float() on the fields of chunk's lines, lines first,
+    first + 1, ... of the input, into dest's rows.  A line that does not
+    convert whole to finite values is walked field by field to raise
+    ParseError or RaggedRows at its first bad field."""
     ncols = dest.shape[1]
-    for row, line in zip(dest, chunk.decode("utf-8").split("\n")):
-        fields = line.rstrip("\r").split(",")
+    for lineno, (row, raw) in enumerate(zip(dest, chunk.split(b"\n")), start=first):
+        try:
+            fields = raw.decode("utf-8", errors).rstrip("\r").split(",")
+        except UnicodeDecodeError as exc:
+            raise ParseError(lineno, 0, repr(raw[exc.start : exc.start + 4]),
+                             "invalid UTF-8") from exc
         if len(fields) != ncols:
-            return False
+            raise RaggedRows(lineno)
         try:
             row[:] = np.fromiter(map(float, fields), float, count=ncols)
+            if np.isfinite(row).all():
+                continue
         except ValueError:
-            return False
-    return True
+            pass
+        for col, tok in enumerate(fields, start=1):
+            try:
+                value = float(tok)
+            except ValueError:
+                raise ParseError(lineno, col, tok) from None
+            if not math.isfinite(value):
+                raise ParseError(lineno, col, tok, "non-finite value")
 
 
 def _convert(chunk: bytes, dest: np.ndarray) -> bool:
@@ -219,29 +220,6 @@ def _convert(chunk: bytes, dest: np.ndarray) -> bool:
     return True
 
 
-def _parse_fields(lines: list[str], first_lineno: int) -> np.ndarray:
-    """The per-field parser: raises at the first bad line and field."""
-    rows: list[list[float]] = []
-    ncols: int | None = None
-    for lineno0, line in enumerate(lines, start=first_lineno):
-        fields = line.rstrip("\r").split(",")
-        if ncols is None:
-            ncols = len(fields)
-        elif len(fields) != ncols:
-            raise RaggedRows(lineno0)
-        row = []
-        for colno0, tok in enumerate(fields, start=1):
-            try:
-                value = float(tok)
-            except ValueError:
-                raise ParseError(lineno0, colno0, tok) from None
-            if not math.isfinite(value):
-                raise ParseError(lineno0, colno0, tok, "non-finite value")
-            row.append(value)
-        rows.append(row)
-    return np.array(rows, dtype=float)
-
-
 def serialize_matrix_csv(matrix: np.ndarray) -> str:
     """Render a matrix as CSV with a trailing newline.
 
@@ -266,14 +244,9 @@ def serialize_matrix_csv(matrix: np.ndarray) -> str:
 
 def load_matrix_csv(path) -> np.ndarray:
     """parse_matrix_csv of the file's bytes, streamed CHUNK_BYTES at a
-    time; where the bulk parse fails, the file is parsed again whole for
-    the exact error."""
-    path = Path(path)
-    with path.open("rb") as f:
-        nrows = _count_lines(f)
-        f.seek(0)
-        out = _parse_bulk(_chunks(f), nrows)
-    return out if out is not None else parse_matrix_csv(path.read_bytes())
+    time, errors included."""
+    with Path(path).open("rb") as f:
+        return _parse(f, "strict")
 
 
 def _count_lines(f: BinaryIO) -> int:

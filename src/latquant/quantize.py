@@ -111,6 +111,9 @@ class QuantConfig:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.clamp is not None:
             lo, hi = self.clamp
+            if not all(isinstance(b, (int, np.integer)) and not isinstance(b, bool)
+                       for b in self.clamp):
+                raise ValueError(f"clamp bounds must be integers, got {self.clamp!r}")
             if lo > hi:
                 raise ValueError(f"clamp interval is empty: {self.clamp}")
         if self.algorithm not in ALGORITHMS:

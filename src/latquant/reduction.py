@@ -43,7 +43,7 @@ _INT64_MAX = np.iinfo(np.int64).max
 # bound is an exact integer in float, and int64 has 2^10 to spare.
 _INT64_SAFE_BOUND = 2.0 ** 53
 
-# Exact determinant check is done in integer arithmetic up to this size.
+# lll_reduce checks its transform's determinant exactly up to this size.
 _EXACT_DET_MAX = 12
 
 # Slack of is_lll_reduced's tests on the float Gram-Schmidt data.
@@ -232,21 +232,21 @@ def _det_bareiss(m: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def unimodular_det(u: np.ndarray) -> float:
-    """Determinant of an integer matrix: exact up to 12 x 12, via the
-    triangular factor product (|det| only, sign-free) beyond that."""
-    n = u.shape[0]
-    if n <= _EXACT_DET_MAX:
-        return float(_det_bareiss([[int(x) for x in row] for row in u]))
-    return float(np.prod(_ql_factors(np.array(u, dtype=float)).diag))
+def unimodular_det(u: np.ndarray) -> int:
+    """Exact determinant of an integer matrix, at every size."""
+    return _det_bareiss([[int(x) for x in row] for row in u])
 
 
 def _is_unimodular(u: np.ndarray) -> bool:
-    """Whether |det u| = 1: the float determinant, which loses digits to
-    large entries, where it reads within 1e-6 of 1, else det u modulo
-    _DET_PRIME, which is +-1 for every unimodular u."""
+    """Whether |det u| = 1: exactly up to _EXACT_DET_MAX x _EXACT_DET_MAX;
+    past that, the float determinant (the triangular factor's product,
+    sign-free), which loses digits to large entries, where it reads within
+    1e-6 of 1, else det u modulo _DET_PRIME, which is +-1 for every
+    unimodular u."""
+    if u.shape[0] <= _EXACT_DET_MAX:
+        return abs(unimodular_det(u)) == 1
     try:
-        close = abs(abs(unimodular_det(u)) - 1.0) <= 1e-6
+        close = abs(float(np.prod(_ql_factors(np.array(u, dtype=float)).diag)) - 1.0) <= 1e-6
     except (ValueError, OverflowError):  # entries past the float range, or a QR
         close = False                    # that reads the columns as dependent
     return close or _det_mod_prime(u) in (1, _DET_PRIME - 1)

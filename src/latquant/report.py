@@ -30,13 +30,6 @@ import numpy as np
 
 SCHEMA_VERSION = 3
 
-_KEY_ORDER = (
-    "schema_version", "algorithm", "n", "k", "m", "mu", "alpha", "delta", "v",
-    "error_l2", "error_regularized", "bound_abs_paper", "bound_abs_halfstep",
-    "gamma_bound", "step_coeffs", "fragile_count", "agreement",
-    "oracle_error", "wall_time_ms", "conditioning", "quality", "timings_ms",
-)
-
 
 def _reals(*names: str) -> dict:
     """Schema properties: each name a real >= 0."""
@@ -90,6 +83,9 @@ REPORT_SCHEMA = {
         "timings_ms": _object(_reals("parse", "factor", "solve")),
     },
 }
+
+# A report's keys, in the order it writes them.
+_KEY_ORDER = tuple(REPORT_SCHEMA["properties"])
 
 
 @dataclass

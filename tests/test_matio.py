@@ -17,6 +17,9 @@ from latquant.matio import (
     serialize_matrix_csv,
 )
 
+needs_extended = pytest.mark.skipif(
+    not matio._EXTENDED, reason="long double is not x87 extended precision here")
+
 
 class TestParse:
     def test_basic(self):
@@ -103,12 +106,12 @@ def outcome(parse, text):
 
 
 def parse_per_field(text):
-    with mock.patch.object(matio, "_parse_bulk", lambda lines, nrows: None):
+    with mock.patch.object(matio, "_convert", return_value=False):
         return parse_matrix_csv(text)
 
 
 class TestBulkParse:
-    """The bulk path against the per-field loop it falls back to."""
+    """The bulk path against the line loop it falls back to."""
 
     @given(csv_texts(), st.booleans())
     @settings(max_examples=500, deadline=None, derandomize=True)
@@ -132,9 +135,10 @@ class TestBulkParse:
         data = text.encode("utf-8") if as_bytes else text
         assert outcome(parse_matrix_csv, data) == outcome(parse_per_field, data)
 
+    @needs_extended
     def test_valid_input_skips_the_per_field_loop(self):
         text = serialize_matrix_csv(np.arange(12.0).reshape(3, 4) / 7)
-        with mock.patch.object(matio, "_parse_fields", side_effect=AssertionError):
+        with mock.patch.object(matio, "_convert_lines", side_effect=AssertionError):
             m = parse_matrix_csv(text)
         assert m.shape == (3, 4)
 
@@ -213,9 +217,42 @@ class TestStreamedLoad:
             tracemalloc.stop()
         assert peak < m.nbytes + 8 * chunk
 
+    def test_an_error_on_the_last_line_is_raised_from_the_stream(self, tmp_path, monkeypatch):
+        # The same bound as for a valid file: the line loop raises from the
+        # last chunk, and the file is not read again to name the line.
+        chunk = 1 << 14
+        path = tmp_path / "m.csv"
+        text = serialize_matrix_csv(np.random.default_rng(7).standard_normal((400, 64)) / 7)
+        path.write_text(text[: text.rindex(",") + 1] + "abc\n")
+        assert path.stat().st_size > 30 * chunk
+        monkeypatch.setattr(matio, "CHUNK_BYTES", chunk)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as exc:
+                load_matrix_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.line, exc.value.col, exc.value.token) == (400, 64, "abc")
+        assert peak < 400 * 64 * 8 + 8 * chunk
 
-needs_extended = pytest.mark.skipif(
-    not matio._EXTENDED, reason="long double is not x87 extended precision here")
+    def test_the_first_bad_line_outranks_a_later_undecodable_byte(self, tmp_path):
+        data = b"1,2\nx,4\n5,\xff\n"
+        for parse in (parse_matrix_csv, load_text(tmp_path / "m.csv")):
+            with pytest.raises(ParseError) as exc:
+                parse(data)
+            assert (exc.value.line, exc.value.col, exc.value.token) == (2, 1, "x")
+
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_a_line_count_that_changed_is_refused(self, tmp_path, monkeypatch, off):
+        # as when the file grows or shrinks between the counting pass and
+        # the parse: no row may be returned unfilled
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, np.arange(12.0).reshape(6, 2))
+        count_lines = matio._count_lines
+        monkeypatch.setattr(matio, "_count_lines", lambda f: count_lines(f) + off)
+        with pytest.raises(ParseError, match="changed"):
+            load_matrix_csv(path)
 
 
 def convert(text):

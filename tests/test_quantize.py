@@ -82,6 +82,10 @@ class TestQuantConfig:
             {"alpha": float("nan")},
             {"clamp": (3, 1)},
             {"algorithm": "rounding"},
+            {"clamp": (-1.5, 1.5)},
+            {"clamp": (0.0, 3.0)},
+            {"clamp": (0, float("nan"))},
+            {"clamp": (False, True)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -850,13 +854,13 @@ class TestGramRoute:
         weights = rng.standard_normal((3, 80))
         assert gram_factor(x.T @ x) is not None
         calls = []
-        block_inverses = latquant.linalg._diagonal_block_inverses
+        lower_inverse = latquant.linalg._lower_inverse
 
         def counting(l):
             calls.append(l.shape)
-            return block_inverses(l)
+            return lower_inverse(l)
 
-        monkeypatch.setattr(latquant.linalg, "_diagonal_block_inverses", counting)
+        monkeypatch.setattr(latquant.linalg, "_lower_inverse", counting)
         if call == "cross_layer_target":
             cross_layer_target(x, x + 0.01 * rng.standard_normal(x.shape), weights[0])
         elif call == "x_target":

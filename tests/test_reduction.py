@@ -33,7 +33,7 @@ class TestLllReduce:
         red = lll_reduce(np.diag([2.0, 3.0]))
         u = np.array([[int(x) for x in row] for row in red.u])
         assert sorted(np.abs(u).sum(axis=0).tolist()) == [1, 1]  # signed permutation
-        assert abs(abs(unimodular_det(red.u)) - 1.0) <= 1e-12
+        assert abs(unimodular_det(red.u)) == 1
         cols = {tuple(np.abs(red.basis_red[:, j]).tolist()) for j in range(2)}
         assert cols == {(2.0, 0.0), (0.0, 3.0)}
 
@@ -43,7 +43,7 @@ class TestLllReduce:
             col = red.basis_red[:, j]
             assert np.linalg.norm(col) == pytest.approx(1.0, abs=1e-12)
             assert sorted(np.abs(col).tolist()) == pytest.approx([0.0, 1.0], abs=1e-12)
-        assert abs(abs(unimodular_det(red.u)) - 1.0) <= 1e-12
+        assert abs(unimodular_det(red.u)) == 1
 
     @pytest.mark.parametrize("seed", range(25))
     def test_transform_reconstructs_reduced_basis(self, seed):
@@ -228,7 +228,7 @@ class TestArrayKernel:
         x = rng.standard_normal((4 * 96, 96))
         red = lll_reduce(regularize(x, resolve_mu(x, "auto")))
         assert is_lll_reduced(red.basis_red, red.delta)
-        assert abs(abs(unimodular_det(red.u)) - 1.0) <= 1e-6
+        assert abs(unimodular_det(red.u)) == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_ill_conditioned_lattice_raises_no_float_warning(self):
@@ -394,7 +394,7 @@ class TestUnimodularDet:
     def test_singular(self):
         assert unimodular_det(np.array([[1, 1], [1, 1]], dtype=object)) == 0.0
 
-    def test_large_matrix_uses_triangular_product(self):
+    def test_large_matrix_is_exact(self):
         rng = np.random.default_rng(3)
         n = 16
         u = np.eye(n, dtype=object)
@@ -403,7 +403,7 @@ class TestUnimodularDet:
             i, j = rng.integers(0, n, 2)
             if i != j:
                 u[:, i] = u[:, i] + int(rng.integers(-3, 4)) * u[:, j]
-        assert abs(abs(unimodular_det(u)) - 1.0) <= 1e-6
+        assert unimodular_det(u) == 1
 
 
 class TestUnimodularCheck:
@@ -426,6 +426,7 @@ class TestUnimodularCheck:
         red = lll_reduce(ill_conditioned_basis)
         assert red.u.shape == (17, 17)
         assert reduction._det_mod_prime(red.u) in (1, reduction._DET_PRIME - 1)
+        assert abs(unimodular_det(red.u)) == 1
         assert is_lll_reduced(red.basis_red, red.delta)
         # basis_red = basis @ u up to the rounding of the column operations,
         # small against |basis| @ |u| (the entries of basis_red cancel to ~1e-5)

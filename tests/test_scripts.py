@@ -288,3 +288,27 @@ def test_src_lines_counts_code_and_docstrings_but_not_comments(tmp_path, capsys)
     (tmp_path / "notes.txt").write_text("not python\n")
     assert src_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.split() == ["a.py", "4", "b.py", "2", "total", "6"]
+
+
+def test_compare_outputs_reports_a_tampered_output(tmp_path):
+    compare_outputs = load_script("compare_outputs.py").compare_outputs
+    report = {"schema_version": 3, "error_l2": 1.5, "fragile_count": 0,
+              "wall_time_ms": 10.0, "timings_ms": {"parse": 1.0}}
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for d in dirs:
+        d.mkdir()
+        (d / "V.csv").write_text("1,-2\n0,3\n")
+        (d / "report.json").write_text(json.dumps(report))
+        np.savez(d / "chain_out.npz", v1=np.array([[1, -2]]), error_l2=np.array([0.25]))
+    assert set(compare_outputs(*dirs).values()) == {"identical"}
+
+    # timings are ignored; 0.0 is not 0; one entry of V and one array differ
+    (dirs[1] / "V.csv").write_text("1,-2\n0,4\n")
+    (dirs[1] / "report.json").write_text(json.dumps(
+        {**report, "fragile_count": 0.0, "wall_time_ms": 11.0, "timings_ms": {"parse": 2.0}}))
+    np.savez(dirs[1] / "chain_out.npz", v1=np.array([[1, -2]]), error_l2=np.array([-0.25]))
+    assert compare_outputs(*dirs) == {
+        "V.csv": "differs",
+        "chain_out.npz": "differs: error_l2",
+        "report.json": "keys differ: fragile_count",
+    }
