@@ -3,8 +3,9 @@
 
 Runs the stages of `latquant quantize` one after another in this process:
 imports (numpy and latquant), parse (W, then X), factor (validation, mu and
-the factorization), solve (the row sweep and the row errors) and write
-(V.csv).  After each stage it prints the process's peak resident set size
+the factorization; with --reduce lll also the LLL reduction at the
+default delta and the reduced basis's factorization), solve (the row
+sweep and the row errors) and write (V.csv).  After each stage it prints the process's peak resident set size
 (VmHWM) and current one (VmRSS) from /proc/self/status, in MB of 1024 kB
 as perfbench reports `peak_rss_mb`, and the stage's wall time.  Where
 /proc is missing, the peak comes from resource.getrusage and the current
@@ -18,7 +19,7 @@ bookkeeping raises VmHWM, so take the VmHWM figures from a run without it.
 
 Usage:
     python scripts/stage_memory.py --weights W.csv --calib X.csv --mu auto \
-        --alpha 0.0221 --out V.csv [--traced]
+        --alpha 0.0221 --out V.csv [--reduce lll] [--traced]
 """
 
 import argparse
@@ -69,6 +70,8 @@ def main(argv=None) -> int:
     ap.add_argument("--mu", default="auto", help="regularizer (number or 'auto')")
     ap.add_argument("--alpha", type=float, default=1.0, help="alphabet scale")
     ap.add_argument("--out", default=None, help="V.csv path (default: a temporary file)")
+    ap.add_argument("--reduce", choices=["lll"], default=None,
+                    help="LLL-reduce the basis in the factor stage")
     ap.add_argument("--traced", action="store_true",
                     help="also print each stage's tracemalloc peak")
     args = ap.parse_args(argv)
@@ -76,7 +79,7 @@ def main(argv=None) -> int:
 
     # imported here, so the first stage measures what the imports cost
     start = time.perf_counter()
-    from latquant import matio, quantize
+    from latquant import matio, quantize, reduction
     report("imports", time.perf_counter() - start)
     if args.traced:
         tracemalloc.start()
@@ -89,7 +92,7 @@ def main(argv=None) -> int:
     cfg = quantize.QuantConfig(mu=args.mu if args.mu == "auto" else float(args.mu),
                                alpha=args.alpha)
     start, traced_from = begin(args.traced)
-    sb = quantize.solver_basis(x, cfg.mu)
+    sb = quantize.solver_basis(x, cfg.mu, reduction.DEFAULT_DELTA if args.reduce else None)
     report("factor", time.perf_counter() - start, traced_from)
 
     start, traced_from = begin(args.traced)

@@ -21,13 +21,15 @@ from .lattice import (
     relative_error_factor,
     schnorr_euchner,
 )
-from .linalg import NotPositiveDefinite, RankDeficient, check_vector, l2_norm, ql_decompose
+from .linalg import NotPositiveDefinite, RankDeficient, check_vector, ql_decompose
 from .matio import ParseError, RaggedRows, load_matrix_csv, save_matrix_csv
 from .quantize import (
     QuantConfig,
     _pull_back,
+    _row_errors,
     compare_algorithms,
     quantize_matrix,
+    reduce_basis,
     solver_basis,
 )
 from .reduction import DEFAULT_DELTA, lll_reduce, map_solution
@@ -221,7 +223,7 @@ def _cmd_bounds(args) -> int:
     reduce_delta = _reduce_delta(args)
     if reduce_delta is not None:
         _print_bounds(f"after lll(delta={reduce_delta})",
-                      np.diag(solver_basis(x, cfg.mu, reduce_delta).l))
+                      np.diag(reduce_basis(sb, reduce_delta).l))
     return 0
 
 
@@ -252,10 +254,12 @@ def _cmd_oracle(args) -> int:
                          "scale the target down or pass a larger --mu") from None
     (v_babai,), (coeffs,) = nearest_plane_rows(sb.l, p)
     v_exact, certified, nodes = schnorr_euchner(sb.l, p[0])
-    # the target is zero on the mu * I rows of the basis
-    t_emb = np.concatenate([t, np.zeros(sb.basis.shape[0] - t.size)])
-    babai_error = float(l2_norm(t_emb - sb.basis @ v_babai))
-    exact_error = float(l2_norm(t_emb - sb.basis @ v_exact))
+    if sb.u is not None:
+        v_babai, v_exact = map_solution(sb.u, v_babai), map_solution(sb.u, v_exact)
+    # each vector's errors against t, which is zero on the mu * I rows
+    (error_l2,), (babai_error,) = _row_errors(sb, v_babai[None, :], 1.0, t=t[None, :])
+    _, (exact_error,) = _row_errors(sb, v_exact[None, :], 1.0, t=t[None, :])
+    error_l2, babai_error, exact_error = float(error_l2), float(babai_error), float(exact_error)
     wall_ms = (time.perf_counter() - start) * 1e3
 
     if not certified:
@@ -270,8 +274,6 @@ def _cmd_oracle(args) -> int:
     else:
         ratio = 1.0 if babai_error == 0 else float("inf")
 
-    v = v_babai if sb.u is None else map_solution(sb.u, v_babai)
-    error_vs_original = float(l2_norm(t - x @ v))
     print(f"optimum_error = {exact_error!r}")
     print(f"babai_error   = {babai_error!r}")
     print(f"ratio         = {ratio!r}")
@@ -282,14 +284,14 @@ def _cmd_oracle(args) -> int:
         algorithm="babai" if sb.u is None else "babai+lll",
         n=x.shape[1], k=x.shape[0], m=1,
         mu=sb.mu, alpha=cfg.alpha, delta=args.delta,
-        error_l2=error_vs_original,
+        error_l2=error_l2,
         error_regularized=babai_error,
         bound_abs_paper=abs_bound.paper, bound_abs_halfstep=abs_bound.half_step,
         gamma_bound=gamma.gamma,
         step_coeffs=coeffs.tolist(),
         fragile_count=len(fragile_indices(coeffs)),
         wall_time_ms=wall_ms,
-        v=v.tolist(),
+        v=v_babai.tolist(),
         oracle_error=exact_error,
     )
     _write_outputs(args, report)

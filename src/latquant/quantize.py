@@ -35,11 +35,13 @@ its triangles as lists (_cached_basis) while x_hat and mu stay the same.
 Rank-deficient calibration data (in particular k < n) is handled by
 stacking mu * I under X, which adds mu^2 to every eigenvalue of X^T X;
 mu -> infinity degenerates to plain round(w).  The Cholesky route adds
-mu^2 to the diagonal of X^T X and never forms the stack; only what needs
-the basis itself builds it (SolverBasis.x_solver).  Reported errors always
-refer to the original X, with the regularized objective carried
-separately.  The alphabet alpha * Z is handled by solving for w / alpha,
-and an optional [lo, hi] clamp is applied to v after the full run.
+mu^2 to the diagonal of X^T X and never forms the stack; only the QR
+fallback and the recursive reference solvers build it.  LLL reduction
+runs on the n x n factor L of the stack (X_solver = Q L: the lattices of
+their columns are isometric).  Reported errors always refer to the
+original X, with the regularized objective carried separately.  The
+alphabet alpha * Z is handled by solving for w / alpha, and an optional
+[lo, hi] clamp is applied to v after the full run.
 """
 
 from __future__ import annotations
@@ -181,24 +183,24 @@ class SolverBasis:
     """The lattice a run solves on.
 
     x is the validated calibration data.  l is the lower-triangular factor
-    with positive diagonal and l^T l = X^T X + mu^2 I, or B^T B for the
-    LLL-reduced basis B = x_solver @ u (u the exact unimodular transform,
-    basis_red B; both None without reduction), and l_inv its inverse: all
-    the solvers need.  cond is l's 1-norm condition number
-    ||L||_1 ||L^-1||_1, read where l was factored.  The coordinates Q^T t
-    of a point t on the basis's Gram-Schmidt directions are
-    l_inv^T basis^T t, so Q is never formed.  l comes from the Cholesky
-    factorization of that Gram matrix, or from the QL factorization of the
-    basis when the Gram matrix fails linalg.gram_factor's conditioning gate
-    (route reads "cholesky" or "qr"); either route inverts it once, with
+    with positive diagonal and l^T l = X^T X + mu^2 I, or after LLL
+    reduction B^T B for the n x n reduced basis B = L u (L that factor, u
+    the exact unimodular transform and u_inv its inverse; both None
+    without reduction), and l_inv its inverse: all the solvers need.  cond
+    is l's 1-norm condition number ||L||_1 ||L^-1||_1, read where l was
+    factored.  The coordinates Q^T t of a point t on the Gram-Schmidt
+    directions of x_solver @ u are l_inv^T u^T x^T t, so Q is never formed.
+    l comes from the Cholesky factorization of that Gram matrix, or from
+    the QL factorization of the basis when the Gram matrix fails
+    linalg.gram_factor's conditioning gate (route reads "cholesky" or
+    "qr"); either route inverts it once, with
     linalg.invert_lower_triangular's kernel.
 
     x_solver, the matrix the regularized objective is measured with (x
-    with mu * I stacked under it, or x itself at mu = 0), and basis
-    (x_solver, or B after reduction) are built on first use, for the
-    callers that need the basis itself: the recursive reference solvers,
-    the reduced path and the oracle's error of a vector.  A stacked
-    x_solver is read-only."""
+    with mu * I stacked under it, or x itself at mu = 0), is built on
+    first use and is read-only when stacked.  basis is what the recursive
+    reference solvers factor: x_solver, or after reduction l, whose
+    columns span a lattice isometric to that of x_solver @ u."""
 
     x: np.ndarray
     mu: float
@@ -207,7 +209,7 @@ class SolverBasis:
     cond: float
     route: str
     u: np.ndarray | None = None
-    basis_red: np.ndarray | None = None
+    u_inv: np.ndarray | None = None
 
     @cached_property
     def x_solver(self) -> np.ndarray:
@@ -218,7 +220,7 @@ class SolverBasis:
 
     @property
     def basis(self) -> np.ndarray:
-        return self.x_solver if self.basis_red is None else self.basis_red
+        return self.x_solver if self.u is None else self.l
 
     @cached_property
     def l_sweep(self) -> RowSweep:
@@ -232,37 +234,46 @@ class SolverBasis:
 
 
 def solver_basis(x, mu: float | str, reduce_delta: float | None = None) -> SolverBasis:
-    """Validate x, resolve and apply the regularizer, optionally
-    LLL-reduce with parameter reduce_delta, and factor the basis once.
+    """Validate x, resolve and apply the regularizer, factor the basis
+    once and, with reduce_delta, LLL-reduce it with that parameter
+    (reduce_basis).
 
-    The Gram matrix is X^T X + mu^2 I, or B^T B for the reduced basis B.
-    Where gram_factor declines it, ql_decompose(basis) supplies l and l_inv
-    and raises RankDeficient or warns IllConditionedWarning as the input
-    calls for."""
+    Where gram_factor declines the Gram matrix X^T X + mu^2 I, the QL
+    factorization of the stacked basis supplies l and l_inv and raises
+    RankDeficient or warns IllConditionedWarning as the input calls for;
+    on a reduced run the warning is judged on the reduced basis alone."""
     return _factor_basis(check_matrix(x, "x"), mu, reduce_delta)
 
 
 def _factor_basis(x: np.ndarray, mu: float | str,
                   reduce_delta: float | None = None) -> SolverBasis:
     """solver_basis on an x that check_matrix has already returned, so
-    its caller's validation is the only pass over x.  Without reduction
-    the Cholesky route forms X^T X and adds mu^2 to its diagonal: the
-    stacked basis is built only for LLL or the QR fallback.  The Gram
-    matrix goes to gram_factor as its only reference, so it is freed once
-    factored."""
+    its caller's validation is the only pass over x."""
     mu = resolve_mu(x, mu)
-    u = basis_red = None
-    if reduce_delta is None:
-        factor = gram_factor(_gram(x, mu))
-    else:
-        reduced = lll_reduce(_stack(x, mu), reduce_delta)
-        u, basis_red = reduced.u, reduced.basis_red
-        factor = gram_factor(_gram(basis_red))
-    route = "cholesky"
-    if factor is None:
-        f = ql_decompose(_stack(x, mu) if basis_red is None else basis_red)
-        factor, route = (f.l, f.l_inv, f.cond), "qr"
-    return SolverBasis(x, mu, *factor, route, u, basis_red)
+    sb = SolverBasis(x, mu, *_factor(x, mu, warn=reduce_delta is None))
+    return sb if reduce_delta is None else reduce_basis(sb, reduce_delta)
+
+
+def reduce_basis(sb: SolverBasis, delta: float) -> SolverBasis:
+    """sb's lattice LLL-reduced with parameter delta: lll_reduce runs on
+    the n x n factor L, whose columns span a lattice isometric to that of
+    x_solver's, and the reduced basis L u is factored as x was.  No step
+    reads more than n x n data."""
+    reduced = lll_reduce(sb.l, delta)
+    return SolverBasis(sb.x, sb.mu, *_factor(reduced.basis_red), reduced.u, reduced.u_inv)
+
+
+def _factor(b: np.ndarray, mu: float = 0.0, warn: bool = True):
+    """l, l_inv, cond and route of the basis [b; mu I].  The Cholesky
+    route forms b^T b and adds mu^2 to its diagonal, and the Gram matrix
+    goes to gram_factor as its only reference, so it is freed once
+    factored; the stack is built only for the QR fallback, which raises
+    RankDeficient and, with warn, warns IllConditionedWarning."""
+    factor = gram_factor(_gram(b, mu))
+    if factor is not None:
+        return (*factor, "cholesky")
+    f = (ql_decompose if warn else _ql_factors)(_stack(b, mu))
+    return f.l, f.l_inv, f.cond, "qr"
 
 
 def _gram(b: np.ndarray, mu: float = 0.0) -> np.ndarray:
@@ -462,9 +473,8 @@ def _row_errors(sb: SolverBasis, v: np.ndarray, alpha: float,
                 w: np.ndarray | None = None, t: np.ndarray | None = None):
     """alpha ||t_r / alpha - X_solver d_r|| per row, d_r = v_r - w_r / alpha
     (v_r where w is None), over the k rows of the original X and over all
-    rows of the regularized one.  t_r covers X's rows (a cross-layer
-    target) or all of X_solver's (the in-span target of a reduced run) and
-    is zero past its end; t = None is zero.
+    rows of the regularized one.  t_r covers X's rows and is zero on the
+    mu * I rows; t = None is zero.
 
     The residual over X's k rows is taken ROW_BLOCK rows at a time, one
     product per block, and d and t / alpha are formed a block at a time,
@@ -477,7 +487,6 @@ def _row_errors(sb: SolverBasis, v: np.ndarray, alpha: float,
     of one row solved alone may differ from its errors in an m-row run in
     the last bits; v and the coefficients do not."""
     x = sb.x
-    k = x.shape[0]
     err = np.empty(v.shape[0])
     err_reg = np.empty(v.shape[0])
     for s in range(0, v.shape[0], ROW_BLOCK):
@@ -486,32 +495,37 @@ def _row_errors(sb: SolverBasis, v: np.ndarray, alpha: float,
         r = -(d @ x.T)
         r_mu = sb.mu * d
         if t is not None:
-            r += t[s:e, :k] / alpha
-            if t.shape[1] > k:
-                r_mu -= t[s:e, k:] / alpha
+            r += t[s:e] / alpha
         err[s:e] = l2_norm(r, axis=1)
         err_reg[s:e] = np.hypot(err[s:e], l2_norm(r_mu, axis=1))
     return alpha * err, alpha * err_reg
 
 
 def _pull_back(sb: SolverBasis, t: np.ndarray, alpha: float):
-    """Rows p_r = L^-T B^T t_r / alpha (t_r's coordinates on the
-    Gram-Schmidt directions of the basis B) and w_r = L^-1 p_r (its
-    least-squares coefficients); t_r is zero past its end.  Each row takes
-    its own products, so its bits do not depend on the other rows, on t_r
-    divided by a power of two, so B^T t of large data does not overflow.
-    Raises ValueError where p or w pass the float range."""
-    b_t = (sb.x if sb.basis_red is None else sb.basis_red)[: t.shape[1]].T
+    """Rows p_r = L^-T u^T X^T t_r / alpha (t_r's coordinates on the
+    Gram-Schmidt directions of the basis X_solver u, t_r zero on its
+    mu * I rows and u = I without reduction) and w_r = L^-1 p_r (its
+    least-squares coefficients).  Each row takes its own products, so its
+    bits do not depend on the other rows, on t_r divided by a power of
+    two, so X^T t of large data does not overflow.  Raises ValueError
+    where p or w pass the float range."""
+    g = sb.l_inv.T if sb.u is None else sb.l_inv.T @ np.asarray(sb.u, dtype=float).T
+    x_t = sb.x.T
     p = np.empty((t.shape[0], sb.l.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         for r, row in enumerate(t):
             scale = power_of_two_scale(row)
-            p[r] = sb.l_inv.T @ (b_t @ (row / scale)) * scale / alpha
+            p[r] = g @ (x_t @ (row / scale)) * scale / alpha
         w = _row_products(sb.l_inv, p)
+    _check_coordinates(p, w, alpha)
+    return p, w
+
+
+def _check_coordinates(p: np.ndarray, w: np.ndarray, alpha: float) -> None:
+    """Refuse coordinates past the float range, naming alpha."""
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(w))):
         raise ValueError(f"the target's coordinates t / alpha overflow at alpha = {alpha!r}; "
                          "use a larger alpha")
-    return p, w
 
 
 def gptq_quantize(x, w, cfg: QuantConfig = QuantConfig()) -> QuantResult:
@@ -614,12 +628,12 @@ def quantize_matrix(weights, x, cfg: QuantConfig = QuantConfig(),
     Row w aims at X_solver w, or with x_target (shaped like x) at
     x_target @ w: a cross-layer target off the span of x, zero on the
     mu * I rows, so x_target = x is not the default target when mu > 0.
-    With reduce_delta the basis is first LLL-reduced with that parameter,
-    and v maps back through the exact unimodular transform.  An off-span
-    target, or any target on a reduced basis B, is pulled back row by row
-    to p = L^-T B^T t / alpha, which the nearest-plane sweep reads, and
-    w = L^-1 p, which the parameter-space loop reads; otherwise the
-    coefficients are w / alpha.  row_errors are alpha ||t/alpha - X v||
+    With reduce_delta the factor is first LLL-reduced with that parameter
+    (reduce_basis), the rows solved are u^-1 w / alpha, and v maps back
+    through the exact unimodular transform u.  An off-span target is
+    pulled back row by row to p = L^-T u^T X^T t / alpha, which the
+    nearest-plane sweep reads, and w = L^-1 p, which the parameter-space
+    loop reads (u = I without reduction).  row_errors are alpha ||t/alpha - X v||
     (for an in-span target alpha ||X (w/alpha - v)||), the regularized
     ones take X_solver, and each total is the root of the rows' squares.
     With x_target the run also takes the second route on every row, and
@@ -694,19 +708,22 @@ def _sweep_rows(sb: SolverBasis, weights: np.ndarray, cfg: QuantConfig, algorith
     regularized errors, and with x_target the route check: the report's
     five fields as a dict and the mask of the coordinates either route
     flags (None, None without).  Raises ValueError, before any sweep,
-    where weights / alpha overflow.  The rows solved are w_rows / scale:
-    weights / alpha, or a target's pulled-back coefficients; no scaled
-    copy of the weights is held, and the second route runs after the
-    errors' row blocks are freed."""
+    where weights / alpha or the rows' coordinates overflow.  The rows
+    solved are weights / alpha, u^-1 weights / alpha on a reduced basis, or
+    a target's pulled-back coefficients; without reduction no scaled copy
+    of the weights is held, and the second route runs after the errors'
+    row blocks are freed."""
     _check_alpha(weights, cfg.alpha)
-    w_rows, scale, p = weights, cfg.alpha, None
-    t = None if x_target is None else _row_products(x_target, weights)
-    if t is None and sb.u is not None:
-        t = _row_products(sb.x_solver, weights)
-    if t is not None:
+    w_rows, p, t = weights, None, None
+    if x_target is not None:
+        t = _row_products(x_target, weights)
         p, w_rows = _pull_back(sb, t, cfg.alpha)
-        scale = 1.0
-    v, coeffs = _route(sb, algorithm, w_rows, scale, p)
+    elif sb.u is not None:  # the rows u^-1 w / alpha and their coordinates L u^-1 w / alpha
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            w_rows = _row_products(np.asarray(sb.u_inv, dtype=float), weights, cfg.alpha)
+            p = _row_products(sb.l, w_rows)
+        _check_coordinates(p, w_rows, cfg.alpha)
+    v, coeffs = _route(sb, algorithm, w_rows, cfg.alpha if p is None else 1.0, p)
     v_out = v if sb.u is None else map_solution(sb.u, v)
     v_out = v_out if cfg.clamp is None else np.clip(v_out, *cfg.clamp)
     # in the span: t / alpha - X_solver v_out = X_solver (w / alpha - v_out)

@@ -21,8 +21,11 @@ The updates accumulate rounding, so the result is checked against a
 fresh factorization and the reduction restarted from the current basis
 where the check fails (Schnorr & Euchner 1994).
 
-The change-of-basis matrix u is tracked in exact (arbitrary-precision)
-integer arithmetic; only the Gram-Schmidt data is floating point.
+The change-of-basis matrix u and its inverse are tracked in exact
+(arbitrary-precision) integer arithmetic; only the Gram-Schmidt data is
+floating point.  A size-reduction step subtracts a multiple of one column
+of u from another and adds the same multiple of one row of u^-1 to
+another; a swap exchanges both, and moves no rows until a pass ends.
 """
 
 from __future__ import annotations
@@ -43,26 +46,26 @@ _INT64_MAX = np.iinfo(np.int64).max
 # bound is an exact integer in float, and int64 has 2^10 to spare.
 _INT64_SAFE_BOUND = 2.0 ** 53
 
-# lll_reduce checks its transform's determinant exactly up to this size.
-_EXACT_DET_MAX = 12
-
 # Slack of is_lll_reduced's tests on the float Gram-Schmidt data.
 _LLL_CHECK_TOL = 1e-9
 
-# The prime lll_reduce takes det u modulo where the float determinant is
-# inconclusive; below 2^31, so a product of two residues fits int64.
-_DET_PRIME = 2_147_483_647
+# The prime lll_reduce checks u @ u^-1 = I modulo where the product of the
+# entries could pass 2^53; below 2^16, so the residues' float product is
+# exact for n < 2^21.
+_CHECK_PRIME = 65_521
 
 
 @dataclass(eq=False)
 class ReducedBasis:
-    """basis_red = basis @ u with u unimodular (|det u| = 1).
+    """basis_red = basis @ u with u unimodular (|det u| = 1), and
+    u_inv = u^-1, so u @ u_inv = I exactly.
 
-    u has object dtype and holds exact Python integers.
+    u and u_inv have object dtype and hold exact Python integers.
     """
 
     basis_red: np.ndarray
     u: np.ndarray
+    u_inv: np.ndarray
     delta: float
 
 
@@ -76,10 +79,11 @@ def _gram_schmidt_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray((r / d[:, None]).T), d * d
 
 
-def _lll_pass(b: np.ndarray, u: np.ndarray, delta: float) -> bool:
+def _lll_pass(b: np.ndarray, u: np.ndarray, u_inv: np.ndarray, delta: float) -> bool:
     """One run of LLL on the rows of b from a fresh factorization,
-    mirroring every row operation on u; both are modified in place.
-    Returns whether any row changed.
+    mirroring every row operation on u and its inverse on u_inv (row
+    k -= q row j on b and u is row j += q row k on u_inv); all three are
+    modified in place.  Returns whether any row changed.
 
     At row k the coefficients mu[k, j] are size-reduced for j = k-1 .. 0,
     each rounded half to even (only those with |mu[k, j]| > 1/2 round to a
@@ -100,6 +104,7 @@ def _lll_pass(b: np.ndarray, u: np.ndarray, delta: float) -> bool:
             q = round_half_even(mu[k, j])
             b[at[k]] -= q * b[at[j]]
             u[at[k]] -= q * u[at[j]]
+            u_inv[at[j]] += q * u_inv[at[k]]
             mu[k, :j] -= q * mu[j, :j]
             mu[k, j] -= q
             changed = True
@@ -120,13 +125,14 @@ def _lll_pass(b: np.ndarray, u: np.ndarray, delta: float) -> bool:
         k = max(k - 1, 1)
     b[:] = b[at]
     u[:] = u[at]
+    u_inv[:] = u_inv[at]
     return changed
 
 
-def _lll_columns(b: np.ndarray, u: np.ndarray, delta: float) -> None:
+def _lll_columns(b: np.ndarray, u: np.ndarray, u_inv: np.ndarray, delta: float) -> None:
     """delta-LLL on the columns of b, mirroring every column operation on
-    u.  b is float, u is exact-integer (object dtype); both are modified in
-    place.
+    u and its inverse, a row operation, on u_inv.  b is float, u and u_inv
+    exact-integer (object dtype); all three are modified in place.
 
     The work runs on contiguous copies that hold the columns as rows
     (_lll_pass), with the same float operations on b as a column loop.
@@ -138,7 +144,7 @@ def _lll_columns(b: np.ndarray, u: np.ndarray, delta: float) -> None:
     rows_b = np.ascontiguousarray(b.T)
     rows_u = np.ascontiguousarray(u.T)
     while True:
-        changed = _lll_pass(rows_b, rows_u, delta)
+        changed = _lll_pass(rows_b, rows_u, u_inv, delta)
         if is_lll_reduced(rows_b[::-1].T, delta):
             break
         if not changed:
@@ -149,8 +155,8 @@ def _lll_columns(b: np.ndarray, u: np.ndarray, delta: float) -> None:
 
 
 def lll_reduce(basis, delta: float = DEFAULT_DELTA) -> ReducedBasis:
-    """delta-LLL-reduce a basis (columns), returning the reduced basis and
-    the exact unimodular transform with basis_red = basis @ u.
+    """delta-LLL-reduce a basis (columns), returning the reduced basis, the
+    exact unimodular transform with basis_red = basis @ u and its inverse.
 
     The reduction runs on the basis divided by a power of two near its
     largest entry, so the Gram-Schmidt data of large data does not
@@ -167,17 +173,15 @@ def lll_reduce(basis, delta: float = DEFAULT_DELTA) -> ReducedBasis:
 
     scale = power_of_two_scale(b0)
     b = b0[:, ::-1] / scale
-    u = np.empty((n, n), dtype=object)
-    u[:] = 0
-    for i in range(n):
-        u[i, i] = 1
-    _lll_columns(b, u, delta)
+    u, u_inv = np.eye(n, dtype=object), np.eye(n, dtype=object)
+    _lll_columns(b, u, u_inv, delta)
 
     basis_red = np.ascontiguousarray(b[:, ::-1]) * scale
     u_full = np.ascontiguousarray(u[::-1, ::-1])
-    if not _is_unimodular(u_full):
+    u_inv_full = np.ascontiguousarray(u_inv[::-1, ::-1])
+    if not _is_inverse(u_full, u_inv_full):
         raise RuntimeError("reduction produced a non-unimodular transform")
-    return ReducedBasis(basis_red=basis_red, u=u_full, delta=delta)
+    return ReducedBasis(basis_red=basis_red, u=u_full, u_inv=u_inv_full, delta=delta)
 
 
 def _fits_int64(u: np.ndarray, v_red: np.ndarray) -> bool:
@@ -237,39 +241,16 @@ def unimodular_det(u: np.ndarray) -> int:
     return _det_bareiss([[int(x) for x in row] for row in u])
 
 
-def _is_unimodular(u: np.ndarray) -> bool:
-    """Whether |det u| = 1: exactly up to _EXACT_DET_MAX x _EXACT_DET_MAX;
-    past that, the float determinant (the triangular factor's product,
-    sign-free), which loses digits to large entries, where it reads within
-    1e-6 of 1, else det u modulo _DET_PRIME, which is +-1 for every
-    unimodular u."""
-    if u.shape[0] <= _EXACT_DET_MAX:
-        return abs(unimodular_det(u)) == 1
-    try:
-        close = abs(float(np.prod(_ql_factors(np.array(u, dtype=float)).diag)) - 1.0) <= 1e-6
-    except (ValueError, OverflowError):  # entries past the float range, or a QR
-        close = False                    # that reads the columns as dependent
-    return close or _det_mod_prime(u) in (1, _DET_PRIME - 1)
-
-
-def _det_mod_prime(u: np.ndarray) -> int:
-    """det u modulo _DET_PRIME, by Gaussian elimination on int64 residues."""
-    p = _DET_PRIME
-    a = np.asarray(u % p, dtype=np.int64)  # object entries reduce as Python ints
-    det = 1
-    for i in range(a.shape[0]):
-        nonzero = np.flatnonzero(a[i:, i])
-        if not nonzero.size:
-            return 0
-        r = i + int(nonzero[0])
-        if r != i:
-            a[[i, r]] = a[[r, i]]
-            det = -det
-        pivot = int(a[i, i])
-        det = det * pivot % p
-        factors = a[i + 1 :, i] * pow(pivot, -1, p) % p
-        a[i + 1 :, i + 1 :] = (a[i + 1 :, i + 1 :] - factors[:, None] * a[i, i + 1 :] % p) % p
-    return det
+def _is_inverse(u: np.ndarray, u_inv: np.ndarray) -> bool:
+    """Whether u @ u_inv = I, which for integer matrices makes |det u| = 1.
+    The product runs in float64 on the entries where no partial sum can
+    pass 2^53 (_fits_int64), so exactly, and else on their residues modulo
+    _CHECK_PRIME, where the identity is necessary but not sufficient."""
+    exact = _fits_int64(u, u_inv.T)
+    if not exact:
+        u, u_inv = u % _CHECK_PRIME, u_inv % _CHECK_PRIME
+    product = np.asarray(u, dtype=float) @ np.asarray(u_inv, dtype=float)
+    return np.array_equal(product if exact else product % _CHECK_PRIME, np.eye(u.shape[0]))
 
 
 def is_lll_reduced(basis_red: np.ndarray, delta: float) -> bool:

@@ -41,8 +41,9 @@ def make_instance():
 @pytest.fixture
 def ill_conditioned_basis() -> np.ndarray:
     """X 25 x 17 with cond ~3e10 (singular values 1 .. ~1e-11 between two
-    random rotations).  Its LLL transform has entries up to 56114 and
-    determinant 1, which the float determinant read as 1.0000052."""
+    random rotations).  Its LLL transform has entries up to 79500, its
+    inverse up to 165025, and determinant 1, which the float determinant
+    read as 1.0000052."""
     rng = np.random.default_rng(1000)
     n = int(rng.integers(14, 32))
     k = n + int(rng.integers(0, n))

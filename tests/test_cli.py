@@ -570,7 +570,8 @@ class TestOracle:
             monkeypatch.setattr(module, "ql_decompose", refused)
         monkeypatch.setattr(latquant.lattice.LatticeBasis, "__init__", refused)
         assert main(["oracle", "--calib", calib, "--weights", weights, *options]) == 0
-        assert calls == [(5, 5)]
+        # X's Gram matrix, and on a reduced run that of the n x n reduced basis L u
+        assert calls == [(5, 5)] * (2 if options else 1)
 
     def test_budget_stops_the_search_with_a_warning(self, workdir, capsys, monkeypatch):
         # the worked basis with a budget of 2 nodes: the search returns

@@ -1,5 +1,6 @@
 import tracemalloc
 from decimal import Decimal
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -194,11 +195,34 @@ class TestStreamedLoad:
             assert got == outcome(parse_matrix_csv, serialize_matrix_csv(np.array(want, float)))
 
     def test_valid_file_is_not_read_whole(self, tmp_path, monkeypatch):
+        # Every byte the loader takes comes through read() on the handle
+        # Path.open gives it, at most CHUNK_BYTES a call: a whole-file read,
+        # through that handle, Path.read_bytes or any other way, fails.
         path = tmp_path / "m.csv"
         save_matrix_csv(path, np.arange(12.0).reshape(3, 4) / 7)
         monkeypatch.setattr(matio, "CHUNK_BYTES", 16)
-        monkeypatch.setattr(matio, "parse_matrix_csv", mock.Mock(side_effect=AssertionError))
+        reads, open_file = [], Path.open
+
+        class Spy:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def read(self, size=-1):
+                reads.append(len(data := self.f.read(size)))
+                return data
+
+            def seek(self, *args):
+                return self.f.seek(*args)
+
+        monkeypatch.setattr(Path, "open", lambda self, *args, **kw: Spy(open_file(self, *args, **kw)))
         assert load_matrix_csv(path).shape == (3, 4)
+        assert sum(reads) >= path.stat().st_size > 16 >= max(reads)
 
     def test_peak_memory_is_the_array_and_a_few_chunks(self, tmp_path, monkeypatch):
         # The bound: the output array plus 8 chunks.  Reading the whole

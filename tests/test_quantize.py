@@ -430,20 +430,19 @@ class TestQuantizeMatrix:
             assert one.error_regularized == pytest.approx(rep.row_errors_regularized[r],
                                                           rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("target", [None, "data rows", "all rows"])
+    @pytest.mark.parametrize("target", [None, "data rows"])
     def test_row_errors_match_the_stacked_residual(self, target):
         # the blocked errors against alpha ||t / alpha - X_solver d|| on the
         # whole stacked residual; t covers the data rows (a cross-layer
-        # target) or all rows (the in-span target of a reduced run)
+        # target) and is zero on the mu * I rows
         rng = np.random.default_rng(71)
         x = rng.standard_normal((90, 12))
         sb = solver_basis(x, 0.7)
         d = rng.uniform(-2.0, 2.0, (2 * ROW_BLOCK + 2, 12))
-        t = {None: None, "data rows": rng.standard_normal((d.shape[0], 90)),
-             "all rows": rng.standard_normal((d.shape[0], 102))}[target]
+        t = {None: None, "data rows": rng.standard_normal((d.shape[0], 90))}[target]
         r = -(d @ regularize(x, 0.7).T)
         if t is not None:
-            r[:, : t.shape[1]] += t / 0.3
+            r[:, :90] += t / 0.3
         err, err_reg = _row_errors(sb, d, 0.3, t=t)
         np.testing.assert_allclose(err, 0.3 * np.linalg.norm(r[:, :90], axis=1), rtol=1e-12)
         np.testing.assert_allclose(err_reg, 0.3 * np.linalg.norm(r, axis=1), rtol=1e-12)
@@ -512,6 +511,27 @@ class TestQuantizeMatrix:
             tracemalloc.stop()
         assert peak < 3 * weights.nbytes + 2 * n * n * 8 + 2 * ROW_BLOCK * k * 8
 
+    @pytest.mark.parametrize("algorithm", ["gptq", "babai"])
+    def test_peak_memory_of_a_reduced_run_with_many_samples(self, algorithm):
+        # k >> n: LLL, the reduced factor and the reduced rows read n x n
+        # data, so the peak is the m x k residual block and a block of its
+        # squares.  One (k + n) x n array, the stack [X; mu I] or a reduced
+        # basis of its height, passes the bound twice over.
+        rng = np.random.default_rng(37)
+        k, n, m = 8192, 16, 4
+        x = rng.standard_normal((k, n)) @ (np.eye(n) + rng.standard_normal((n, n)) / 2)
+        weights = rng.standard_normal((m, n)) / 16
+        cfg = QuantConfig(mu=0.5, alpha=1 / 16, algorithm=algorithm)
+        assert solver_basis(x, cfg.mu).route == "cholesky"  # no QR fallback's stack
+        assert np.abs(solver_basis(x, cfg.mu, 0.99).u.astype(float)).sum() > 2 * n  # not a permutation
+        tracemalloc.start()
+        try:
+            quantize_matrix(weights, x, cfg, reduce_delta=0.99)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * m * k * 8
+
     def test_peak_memory_with_an_off_span_target(self):
         # The bound: the m x k target t, two 64 x k blocks (the residual and
         # t's block over alpha, or the residual and its square) and six
@@ -545,7 +565,8 @@ class TestQuantizeMatrix:
         cfg = QuantConfig(mu=0.1, alpha=0.3, algorithm=algorithm)
         v, _ = quantize_matrix(weights, x, cfg, reduce_delta=0.99, x_target=x_target)
         sb = solver_basis(x, cfg.mu, 0.99)
-        lattice = LatticeBasis(sb.basis)
+        # the reduced lattice in data space: the columns of X_solver u
+        lattice = LatticeBasis(regularize(x, cfg.mu) @ sb.u.astype(float))
         for row, w in zip(v, weights):
             # the target is zero on the mu * I rows
             t_emb = np.concatenate([x_target @ w / cfg.alpha, np.zeros(5)])

@@ -11,7 +11,7 @@ from latquant.lattice import (
     round_half_even,
 )
 from latquant.linalg import RankDeficient, ql_decompose
-from latquant.quantize import regularize, resolve_mu
+from latquant.quantize import regularize, resolve_mu, solver_basis
 from latquant.reduction import (
     IntegerOverflow,
     is_lll_reduced,
@@ -121,10 +121,10 @@ def _gram_schmidt(b):
     return gs
 
 
-def _lll_columns_full_redo(b, u, delta):
+def _lll_columns_full_redo(b, u, u_inv, delta):
     """Reference LLL loop that recomputes Gram-Schmidt from the basis
     vectors: every coefficient as a dot product, the whole basis after
-    every swap."""
+    every swap.  u_inv takes the inverse of each column operation."""
     n = b.shape[1]
     gs = _gram_schmidt(b)
     k = 1
@@ -135,6 +135,7 @@ def _lll_columns_full_redo(b, u, delta):
             if q != 0:
                 b[:, k] -= q * b[:, j]
                 u[:, k] -= q * u[:, j]
+                u_inv[j] += q * u_inv[k]
         proj = b[:, k].copy()
         for j in range(k):
             gj = gs[:, j]
@@ -147,6 +148,7 @@ def _lll_columns_full_redo(b, u, delta):
         else:
             b[:, [k - 1, k]] = b[:, [k, k - 1]]
             u[:, [k - 1, k]] = u[:, [k, k - 1]]
+            u_inv[[k - 1, k]] = u_inv[[k, k - 1]]
             gs = _gram_schmidt(b)
             k = max(k - 1, 1)
 
@@ -160,12 +162,18 @@ def equivalence_lattice(seed):
     return np.rint(b) if seed % 3 == 0 else b
 
 
-def lll40_lattice():
-    """The lattice of perfbench's lll-40 workload: X = Z G with Z (160 x 40)
-    and G (40 x 40) i.i.d. N(0, 1), regularized with mu = auto."""
+def lll40_features():
+    """X of perfbench's lll-40 workload: X = Z G with Z (160 x 40) and
+    G (40 x 40) i.i.d. N(0, 1)."""
     rng = np.random.default_rng(2508)
     z = rng.standard_normal((160, 40))
-    x = z @ rng.standard_normal((40, 40))
+    return z @ rng.standard_normal((40, 40))
+
+
+def lll40_lattice():
+    """The lattice of perfbench's lll-40 workload: its X regularized with
+    mu = auto."""
+    x = lll40_features()
     return regularize(x, resolve_mu(x, "auto"))
 
 
@@ -194,6 +202,7 @@ class TestSwapUpdate:
         slow = reference_reduction(basis, delta, monkeypatch)
         assert np.array_equal(fast.basis_red.view(np.uint64), slow.basis_red.view(np.uint64))
         assert fast.u.tolist() == slow.u.tolist()
+        assert fast.u_inv.tolist() == slow.u_inv.tolist()
 
     @pytest.mark.parametrize("seed", range(60))
     def test_seeded_lattices(self, seed, monkeypatch):
@@ -209,6 +218,38 @@ class TestSwapUpdate:
     @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])
     def test_conditioned_lattices(self, cond, monkeypatch):
         self.assert_same_reduction(conditioned_lattice(cond), 0.99, monkeypatch)
+
+
+def is_exact_inverse(u, u_inv):
+    """Whether u @ u_inv is the identity, in exact Python integers."""
+    assert u.dtype == u_inv.dtype == object
+    return (np.dot(u, u_inv) == np.eye(u.shape[0], dtype=object)).all()
+
+
+class TestInverseTransform:
+    """lll_reduce tracks u^-1 beside u, exactly."""
+
+    def test_worked_basis(self, worked_basis):
+        red = lll_reduce(worked_basis)
+        assert is_exact_inverse(red.u, red.u_inv)
+
+    def test_ill_conditioned_basis(self, ill_conditioned_basis):
+        red = lll_reduce(ill_conditioned_basis)
+        assert max(abs(int(e)) for e in red.u_inv.flat) > 2 ** 17  # past 16-bit entries
+        assert is_exact_inverse(red.u, red.u_inv)
+
+    def test_lll40_lattice(self):
+        red = lll_reduce(lll40_lattice())
+        assert is_exact_inverse(red.u, red.u_inv)
+
+    def test_factor_reduces_as_the_stack(self):
+        # X_solver = Q L, so L's columns span a lattice isometric to the
+        # stack's; on lll-40 LLL on the factor a reduced run takes finds
+        # the transform of LLL on [X; mu I], which perfbench's reference uses
+        l = solver_basis(lll40_features(), "auto").l
+        red = lll_reduce(l)
+        assert red.u.tolist() == lll_reduce(lll40_lattice()).u.tolist()
+        assert is_exact_inverse(red.u, red.u_inv)
 
 
 class TestArrayKernel:
@@ -258,9 +299,9 @@ class TestArrayKernel:
         passes, checks = [], []
         run_pass, check = reduction._lll_pass, reduction.is_lll_reduced
 
-        def recording_pass(b, u, delta):
+        def recording_pass(b, u, u_inv, delta):
             passes.append(b.copy())
-            return run_pass(b, u, delta)
+            return run_pass(b, u, u_inv, delta)
 
         def failing_once(b, delta):
             checks.append(b)
@@ -407,25 +448,21 @@ class TestUnimodularDet:
 
 
 class TestUnimodularCheck:
-    """lll_reduce refuses a transform whose determinant is not +-1, decided
-    on the residue modulo a prime where the float determinant is off."""
+    """lll_reduce refuses a transform whose product with its tracked
+    inverse is not the identity."""
 
-    def test_residue_matches_the_exact_determinant(self):
-        rng = np.random.default_rng(11)
-        for trial in range(200):
-            n = int(rng.integers(1, 8))
-            u = np.array(rng.integers(-5, 6, (n, n)), dtype=object)
-            if trial % 3 == 0:
-                u[:, 0] = u[:, -1]  # singular
-            if trial % 5 == 0:
-                u = u * 10 ** 30  # past int64, so reduced as Python ints
-            det = reduction._det_bareiss(u.tolist())
-            assert reduction._det_mod_prime(u) == det % reduction._DET_PRIME
+    @pytest.mark.parametrize("s", [3, 10 ** 30])
+    def test_inverse_check_on_small_and_huge_entries(self, s):
+        # a shear and its inverse; entries past 2^53 take the check modulo a prime
+        u = np.array([[1, s], [0, 1]], dtype=object)
+        u_inv = np.array([[1, -s], [0, 1]], dtype=object)
+        assert reduction._is_inverse(u, u_inv)
+        assert not reduction._is_inverse(u, 2 * u_inv)
+        assert not reduction._is_inverse(u, u_inv.T)
 
     def test_ill_conditioned_lattice_reduces(self, ill_conditioned_basis):
         red = lll_reduce(ill_conditioned_basis)
         assert red.u.shape == (17, 17)
-        assert reduction._det_mod_prime(red.u) in (1, reduction._DET_PRIME - 1)
         assert abs(unimodular_det(red.u)) == 1
         assert is_lll_reduced(red.basis_red, red.delta)
         # basis_red = basis @ u up to the rounding of the column operations,
@@ -438,8 +475,8 @@ class TestUnimodularCheck:
     def test_determinant_two_raises(self, n, monkeypatch):
         lll_columns = reduction._lll_columns
 
-        def doubling(b, u, delta):
-            lll_columns(b, u, delta)
+        def doubling(b, u, u_inv, delta):
+            lll_columns(b, u, u_inv, delta)
             u[:, 0] *= 2
 
         monkeypatch.setattr(reduction, "_lll_columns", doubling)

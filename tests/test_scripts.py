@@ -125,6 +125,28 @@ def test_stage_memory_runs(tmp_path):
     assert np.loadtxt(tmp_path / "V.csv", delimiter=",").shape == (6, 4)
 
 
+def test_stage_memory_reduces(tmp_path):
+    # --reduce lll: the factor stage LLL-reduces, and V is that of
+    # quantize_matrix with the default delta
+    from latquant import QuantConfig, load_matrix_csv, quantize_matrix
+    from latquant.reduction import DEFAULT_DELTA
+
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((20, 4)) @ rng.standard_normal((4, 4))
+    np.savetxt(tmp_path / "X.csv", x, delimiter=",")
+    np.savetxt(tmp_path / "W.csv", rng.standard_normal((6, 4)), delimiter=",")
+    proc = run_script("stage_memory.py", "--weights", str(tmp_path / "W.csv"),
+                      "--calib", str(tmp_path / "X.csv"), "--alpha", "0.25",
+                      "--out", str(tmp_path / "V.csv"), "--reduce", "lll")
+    assert proc.returncode == 0, proc.stderr
+    stages = [line.split()[0] for line in proc.stdout.splitlines()[:-1]]
+    assert stages == ["start", "imports", "parse", "factor", "solve", "write"]
+    v, _ = quantize_matrix(load_matrix_csv(tmp_path / "W.csv"), load_matrix_csv(tmp_path / "X.csv"),
+                           QuantConfig(mu="auto", alpha=0.25), reduce_delta=DEFAULT_DELTA)
+    assert np.abs(v).max() > 0
+    np.testing.assert_array_equal(load_matrix_csv(tmp_path / "V.csv"), v)
+
+
 def test_stage_memory_prints_traced_peaks(tmp_path):
     rng = np.random.default_rng(6)
     for name, shape in (("W.csv", (6, 4)), ("X.csv", (20, 4))):
